@@ -44,6 +44,8 @@ class Network:
     links: list
     interference: dict = field(default_factory=dict)
     _schedule_cache: list | None = field(default=None, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         ids = [l.id for l in self.links]
@@ -68,18 +70,13 @@ class Network:
                     raise ValidationError(
                         f"interference not symmetric: {e2} in I[{e}] only")
         self.interference = {e: frozenset(c) for e, c in self.interference.items()}
+        self._index = {l.id: i for i, l in enumerate(self.links)}
 
     def link(self, link_id):
-        for l in self.links:
-            if l.id == link_id:
-                return l
-        raise KeyError(link_id)
+        return self.links[self._index[link_id]]
 
     def link_index(self, link_id):
-        for i, l in enumerate(self.links):
-            if l.id == link_id:
-                return i
-        raise KeyError(link_id)
+        return self._index[link_id]
 
     @property
     def capacities(self):

@@ -88,6 +88,7 @@ def rank_pmf_table(M, k_max, q):
                   + cum[i, np.minimum(j, i)]
                   + cum[k, np.minimum(j, k)] - cum[j, j])
             Z[i, k, :jm + 1] = np.exp(lz)
+    Z.flags.writeable = False  # shared by every caller in the process
     _rank_pmf_cache[key] = Z
     return Z
 
@@ -96,7 +97,8 @@ def hop_tables(model, q, M):
     """W[m, i, j] = P(next rank j | rank i, m packets sent) for m <= m_max.
 
     W[m] is the transition matrix of the deterministic send-m policy;
-    general policies mix these slices. Cached on the loss model.
+    general policies mix these slices. Cached on the loss model and
+    returned read-only.
     """
     key = ("hop_tables", q, M)
     got = model._cache.get(key)
@@ -104,6 +106,7 @@ def hop_tables(model, q, M):
         return got
     Z = rank_pmf_table(M, model.m_max, q)
     W = np.einsum("mk,ikj->mij", model.q_table, Z)
+    W.flags.writeable = False
     model._cache[key] = W
     return W
 
@@ -116,6 +119,7 @@ def expected_rank_table(model, q, M):
         return got
     W = hop_tables(model, q, M)
     E1 = np.einsum("mij,j->im", W, np.arange(M + 1, dtype=float))
+    E1.flags.writeable = False
     model._cache[key] = E1
     return E1
 

@@ -73,6 +73,8 @@ class Scenario:
     solver: SolverConfig = field(default_factory=SolverConfig)
     name: str = "scenario"
     _models: dict = field(default_factory=dict, repr=False, compare=False)
+    _searches: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.m0 is None:
@@ -115,6 +117,28 @@ class Scenario:
 
     def flow_caps(self, flow):
         return np.array([self.m_cap(e) for e in flow.links], dtype=int)
+
+    def flow_search(self, flow):
+        """The price-independent part of `flow`'s +-1 count search.
+
+        Built on first use and kept per link tuple, so it lives as long as
+        the scenario and is shared by every dual iteration of a solve.
+        """
+        ctx = self._searches.get(flow.links)
+        if ctx is None:
+            links = flow.links
+            caps = self.flow_caps(flow)
+            digits = np.array(list(itertools.product((-1, 0, 1),
+                                                     repeat=len(links))))
+            # start where the expected deliveries match the batch size
+            init_m = [min(int(c), math.ceil(
+                self.M / (1.0 - self.network.link(e).loss.average_loss_rate)))
+                for c, e in zip(caps, links)]
+            ctx = self._searches[links] = _FlowSearch(
+                W_list=[self.hop_tables(e) for e in links], caps=caps,
+                idx=np.array([self.network.link_index(e) for e in links]),
+                init_m=init_m, pick=3 * np.arange(len(links)) + digits + 1)
+        return ctx
 
     def eps_vector(self):
         return np.array([l.loss.average_loss_rate for l in self.network.links])
@@ -300,49 +324,6 @@ def _exact_concave_allocation(A, R):
         status={"dual_converged": bool(res.success), "dual_iters": int(res.nit)})
 
 
-def _dual_subgradient(A, R, cfg, lam0=None):
-    """Spec-shaped subgradient loop; returns running averages and duals.
-
-    Per iteration: closed-form per-flow rates from the prices, a
-    max-weight schedule, and a projected multiplier step. The second
-    half's schedule rates are averaged for primal recovery.
-    """
-    E, k = A.shape
-    lam = np.array(lam0, dtype=float) if lam0 is not None else np.ones(E)
-    state = DualState(multipliers=lam, step_a=cfg.step_a, step_b=cfg.step_b)
-    s_acc = np.zeros(E)
-    a_acc = np.zeros(k)
-    n_acc = 0
-    converged = False
-    for t in range(1, cfg.dual_iters + 1):
-        d = A.T @ state.multipliers
-        alpha = 1.0 / np.maximum(d, 1e-12)
-        vals = R @ state.multipliers
-        si = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
-        prev = state.multipliers.copy()
-        state.update(A @ alpha - R[si])
-        if t > cfg.dual_iters // 2:
-            s_acc += R[si]
-            a_acc += alpha
-            n_acc += 1
-        if float(np.max(np.abs(state.multipliers - prev))) < cfg.multiplier_tol:
-            converged = True
-            break
-    n_acc = max(n_acc, 1)
-    return {"s_avg": s_acc / n_acc, "alpha_avg": a_acc / n_acc,
-            "duals": state.multipliers, "iterations": state.iteration,
-            "converged": converged}
-
-
-def _allocation(A, R, cfg, lam0=None):
-    """Subgradient loop per the dual algorithm, then exact recovery."""
-    sub = _dual_subgradient(A, R, cfg, lam0=lam0)
-    alloc = _exact_concave_allocation(A, R)
-    alloc.status.update({"subgradient_iterations": sub["iterations"],
-                         "subgradient_converged": sub["converged"]})
-    return alloc
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -380,15 +361,13 @@ class FixedPolicyResult:
     status: dict
 
 
-def solve_fixed_policy(scenario, policies, config=None, lam0=None):
+def solve_fixed_policy(scenario, policies):
     """Best batch rates and schedule for frozen recoding policies.
 
     With the policies fixed the per-flow expected ranks are constants, so
-    the problem is the classic concave rate/schedule allocation: dual
-    subgradient with closed-form rate updates and max-weight scheduling,
-    recovered to an exactly feasible (alpha, s).
+    the problem is the classic concave rate/schedule allocation, solved
+    exactly and recovered to a feasible (alpha, s).
     """
-    cfg = config or scenario.solver
     mbar, ranks = [], []
     for flow, pols in zip(scenario.flows, policies):
         mb, _, er = _policy_mbar_and_rank(scenario, flow, pols)
@@ -396,9 +375,7 @@ def solve_fixed_policy(scenario, policies, config=None, lam0=None):
         ranks.append(er)
     A = _load_matrix(scenario, mbar)
     scheds, R = schedule_rate_matrix(scenario.network)
-    if lam0 is None:
-        lam0 = 1.0 / scenario.network.capacities
-    alloc = _allocation(A, R, cfg, lam0=lam0)
+    alloc = _exact_concave_allocation(A, R)
     ranks = np.array(ranks)
     utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
     weights = [(scheds[i], float(alloc.weights[i]))
@@ -420,13 +397,12 @@ class UpperBoundResult:
     status: dict
 
 
-def solve_up(scenario, config=None):
+def solve_up(scenario):
     """Cut-set upper-bound problem: per-flow delivery rates f_i.
 
     Same machinery as the fixed-policy solve with unit per-hop loads and
     link rates derated by the average loss.
     """
-    cfg = config or scenario.solver
     E = len(scenario.network.links)
     k = len(scenario.flows)
     A = np.zeros((E, k))
@@ -435,7 +411,7 @@ def solve_up(scenario, config=None):
             A[scenario.network.link_index(e), i] = 1.0
     scheds, R = schedule_rate_matrix(scenario.network)
     R_eff = R * (1.0 - scenario.eps_vector())
-    alloc = _allocation(A, R_eff, cfg, lam0=1.0 / scenario.network.capacities)
+    alloc = _exact_concave_allocation(A, R_eff)
     utilities = np.log(np.maximum(alloc.alpha, 1e-300))
     weights = [(scheds[i], float(alloc.weights[i]))
                for i in np.flatnonzero(alloc.weights > 1e-9)]
@@ -449,14 +425,20 @@ def solve_up(scenario, config=None):
 # per-flow joint local search (nonadaptive recoding numbers)
 
 
-_digit_cache: dict = {}
+@dataclass
+class _FlowSearch:
+    """What a flow's +-1 search reuses at every price vector."""
+
+    W_list: list             # per-hop tables W[m, i, j]
+    caps: np.ndarray         # per-hop transmit-count caps
+    idx: np.ndarray          # the hops' positions in the network's link order
+    init_m: list             # default starting counts
+    pick: np.ndarray         # (3^L, L) flat positions in the L x 3 option table
+    # tuple(m) -> read-only expected destination ranks of m's 3^L candidates
+    ranks: dict = field(default_factory=dict)
 
 
-def _digits3(L):
-    if L not in _digit_cache:
-        _digit_cache[L] = np.array(
-            list(itertools.product((-1, 0, 1), repeat=L)), dtype=int)
-    return _digit_cache[L]
+_STEPS = np.array([-1, 0, 1])
 
 
 @dataclass
@@ -468,33 +450,48 @@ class LocalSearchResult:
     threshold_stop: bool
 
 
-def _neighborhood_best(W_list, m, lam_path, caps, M):
-    """Best candidate in the +-1 joint neighborhood of m.
+def _neighborhood_ranks(W_list, opts, M):
+    """Expected destination ranks of the 3^L candidates built from `opts`.
 
-    All 3^L candidates are evaluated with a forward stack of batched
-    matrix products (3 GEMMs per hop), so the exhaustive neighborhood
-    stays cheap for the path lengths in scope.
+    A forward stack of batched matrix products (3 GEMMs per hop); the
+    candidate order is that of itertools.product, first hop slowest.
     """
-    L = len(m)
-    D = _digits3(L)
-    cand = np.clip(np.asarray(m)[None, :] + D, 0, np.asarray(caps)[None, :])
     X = np.zeros((1, M + 1))
     X[0, M] = 1.0
-    for l in range(L):
-        opts = np.clip(np.array([m[l] - 1, m[l], m[l] + 1]), 0, caps[l])
-        parts = [X @ W_list[l][int(o)] for o in opts]
-        X = np.stack(parts, axis=1).reshape(-1, M + 1)
+    for W, (lo, mid, hi) in zip(W_list, opts):
+        X = np.stack([X @ W[lo], X @ W[mid], X @ W[hi]],
+                     axis=1).reshape(-1, M + 1)
     vals = X @ np.arange(M + 1, dtype=float)
+    vals.flags.writeable = False
+    return vals
+
+
+def _neighborhood_best(ctx, m, lam_path, M):
+    """Best candidate in the +-1 joint neighborhood of m.
+
+    The expected ranks depend on m alone, so they are computed once per
+    distinct m and memoized on the flow's search context; only the
+    price-weighted denominators are formed per call.
+    """
+    opts = np.minimum(np.maximum(np.array(m)[:, None] + _STEPS, 0),
+                      ctx.caps[:, None])
+    key = tuple(m)
+    vals = ctx.ranks.get(key)
+    if vals is None:
+        vals = ctx.ranks[key] = _neighborhood_ranks(ctx.W_list, opts, M)
+    cand = opts.take(ctx.pick)
     dens = cand @ lam_path
-    if np.all(dens <= 0):
+    if dens.min() > 0:
+        obj = vals / dens
+    elif dens.max() <= 0:
         obj = vals  # free links everywhere: climb the expected rank alone
     else:
         obj = np.where(dens > 0, vals / np.where(dens > 0, dens, 1.0), -np.inf)
     best = int(np.argmax(obj))
-    mid = (3 ** L - 1) // 2  # the all-zero move, i.e. m itself
+    mid = len(obj) // 2  # the all-zero move, i.e. m itself
     if obj[best] <= obj[mid] + 1e-15:
-        return list(m), float(obj[mid])
-    return [int(x) for x in cand[best]], float(obj[best])
+        return m, float(obj[mid])
+    return cand[best].tolist(), float(obj[best])
 
 
 def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None,
@@ -511,21 +508,14 @@ def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None,
     cfg = scenario.solver
     if threshold is None:
         threshold = cfg.search_threshold
-    lam_path = np.array([multipliers[scenario.network.link_index(e)]
-                         for e in flow.links], dtype=float)
-    caps = scenario.flow_caps(flow)
-    W_list = [scenario.hop_tables(e) for e in flow.links]
-    if init_m is None:
-        init_m = [min(int(caps[j]),
-                      math.ceil(scenario.M /
-                                (1.0 - scenario.network.link(e).loss.average_loss_rate)))
-                  for j, e in enumerate(flow.links)]
-    m = [int(x) for x in init_m]
+    ctx = scenario.flow_search(flow)
+    lam_path = np.asarray(multipliers, dtype=float)[ctx.idx]
+    m = [int(x) for x in (ctx.init_m if init_m is None else init_m)]
     cur = -np.inf
     history = []
     threshold_stop = False
     for _ in range(max_rounds):
-        m2, obj = _neighborhood_best(W_list, m, lam_path, caps, scenario.M)
+        m2, obj = _neighborhood_best(ctx, m, lam_path, scenario.M)
         if m2 == m:
             cur = max(cur, obj)
             break
@@ -620,19 +610,15 @@ def solve_nap(scenario, config=None):
     """
     cfg = config or scenario.solver
     k = len(scenario.flows)
-    up = solve_up(scenario, config=cfg)
+    up = solve_up(scenario)
     eps = scenario.eps_vector()
     lam = up.duals * (1.0 - eps)
     if not np.any(lam > 0):
         lam = 1.0 / scenario.network.capacities
     scheds, R = schedule_rate_matrix(scenario.network)
-    caps = [scenario.flow_caps(f) for f in scenario.flows]
-    # start each count where expected deliveries match the batch size
-    ms = [[min(int(caps[i][j]),
-               math.ceil(scenario.M /
-                         (1.0 - scenario.network.link(e).loss.average_loss_rate)))
-           for j, e in enumerate(f.links)]
-          for i, f in enumerate(scenario.flows)]
+    searches = [scenario.flow_search(f) for f in scenario.flows]
+    caps = [ctx.caps for ctx in searches]
+    ms = [list(ctx.init_m) for ctx in searches]
     state = DualState(multipliers=lam.copy(), step_a=cfg.step_a, step_b=cfg.step_b)
     tail = []
     stable = 0
@@ -646,8 +632,7 @@ def solve_nap(scenario, config=None):
             changed = changed or (res.m != ms[i])
             ms[i] = res.m
             alpha_i = res.alpha if math.isfinite(res.alpha) else 0.0
-            for e, mm in zip(flow.links, ms[i]):
-                load[scenario.network.link_index(e)] += alpha_i * mm
+            load[searches[i].idx] += alpha_i * np.array(ms[i])
         vals = R @ state.multipliers
         si = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         prev = state.multipliers.copy()
@@ -668,9 +653,10 @@ def solve_nap(scenario, config=None):
     pool = {}
 
     def evaluate(kk):
-        if kk not in pool:
+        # a flow whose counts are all zero has no load and utility -inf
+        if kk not in pool and all(any(mv) for mv in kk):
             pool[kk] = _recover_candidate(scenario, kk, R)
-        return pool[kk]
+        return pool.get(kk)
 
     for kk in dict.fromkeys(tail):
         evaluate(kk)
@@ -684,8 +670,8 @@ def solve_nap(scenario, config=None):
             if kk == best_key:
                 continue
             r = evaluate(kk)
-            if (r["utilities"].sum()
-                    > pool[best_key]["utilities"].sum() + 1e-10):
+            if r is not None and (r["utilities"].sum()
+                                  > pool[best_key]["utilities"].sum() + 1e-10):
                 best_key = kk
                 improved = True
         if not improved:
@@ -952,7 +938,7 @@ def primal_dual_adaptive(scenario, init_solution=None, config=None):
         vals = R @ state.multipliers
         si = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
         state.update(load - R[si])
-    fixed = solve_fixed_policy(scenario, policies, config=cfg)
+    fixed = solve_fixed_policy(scenario, policies)
     u_total = float(fixed.utilities.sum())
     reverted = u_total < base.u_total
     if reverted:

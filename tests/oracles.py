@@ -138,3 +138,52 @@ def almost_deterministic_exhaustive(h, E1, budget, cap):
             t[frac_rank] = min(cap, rem / h[frac_rank])
             best = max(best, value(t))
     return best
+
+
+def neighborhood_best_reference(W_list, m, lam_path, caps, M):
+    """Best candidate in the +-1 joint neighborhood of m, nothing memoized.
+
+    Clips all 3^L candidates, then rebuilds their expected destination
+    ranks with a forward stack of batched products (3 per hop).
+    """
+    L = len(m)
+    D = np.array(list(itertools.product((-1, 0, 1), repeat=L)), dtype=int)
+    cand = np.clip(np.asarray(m)[None, :] + D, 0, np.asarray(caps)[None, :])
+    X = np.zeros((1, M + 1))
+    X[0, M] = 1.0
+    for l in range(L):
+        opts = np.clip(np.array([m[l] - 1, m[l], m[l] + 1]), 0, caps[l])
+        parts = [X @ W_list[l][int(o)] for o in opts]
+        X = np.stack(parts, axis=1).reshape(-1, M + 1)
+    vals = X @ np.arange(M + 1, dtype=float)
+    dens = cand @ lam_path
+    if np.all(dens <= 0):
+        obj = vals
+    else:
+        obj = np.where(dens > 0, vals / np.where(dens > 0, dens, 1.0), -np.inf)
+    best = int(np.argmax(obj))
+    mid = (3 ** L - 1) // 2
+    if obj[best] <= obj[mid] + 1e-15:
+        return list(m), float(obj[mid])
+    return [int(x) for x in cand[best]], float(obj[best])
+
+
+def local_search_reference(W_list, lam_path, caps, init_m, M, threshold,
+                           max_rounds=1000):
+    """Repeated neighborhood steps from init_m; (m, objective, history,
+    threshold_stop) with the stopping rules of the package's search."""
+    m = [int(x) for x in init_m]
+    cur = -np.inf
+    history = []
+    threshold_stop = False
+    for _ in range(max_rounds):
+        m2, obj = neighborhood_best_reference(W_list, m, lam_path, caps, M)
+        if m2 == m:
+            cur = max(cur, obj)
+            break
+        if obj - cur < threshold and np.isfinite(cur):
+            threshold_stop = True
+            break
+        m, cur = m2, obj
+        history.append((tuple(m), cur))
+    return m, cur, history, threshold_stop

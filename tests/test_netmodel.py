@@ -147,3 +147,18 @@ def test_network_validation():
                 interference={"e1": frozenset({"e2"}),
                               "e2": frozenset(),
                               "e3": frozenset()})
+
+
+def test_link_lookup_follows_list_order():
+    spec = LossSpec.independent(0.1)
+    links = [Link("e3", "c", "d", 1.0, spec), Link("e1", "a", "b", 1.0, spec),
+             Link("e2", "b", "c", 1.0, spec)]
+    net = Network(nodes=["a", "b", "c", "d"], links=links)
+    net.interference = two_hop_interference(net)
+    net.__post_init__()  # rebuilding after new interference keeps the index
+    assert [net.link_index(e) for e in ("e3", "e1", "e2")] == [0, 1, 2]
+    assert all(net.link(l.id) is l for l in links)
+    with pytest.raises(KeyError):
+        net.link_index("e4")
+    with pytest.raises(KeyError):
+        net.link("e4")

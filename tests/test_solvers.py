@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import local_search_reference
 
+import batsnum
 from batsnum import rankcalc, solvers
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
@@ -139,6 +141,52 @@ def test_local_search_all_zero_prices_threshold_stop():
     assert math.isinf(res.alpha)
 
 
+@pytest.mark.parametrize("flow_index", [0, 1])
+def test_local_search_matches_unmemoized_reference(flow_index):
+    # the memoized search against the plain 3^L forward stack, on one
+    # scenario so the memo fills across price vectors; bit-identical
+    sc = batsnum.load_scenario("case1", loss_family="iid")
+    flow = sc.flows[flow_index]
+    E = len(sc.network.links)
+    idx = [sc.network.link_index(e) for e in flow.links]
+    caps = sc.flow_caps(flow)
+    W_list = [sc.hop_tables(e) for e in flow.links]
+    default_m = [min(int(c), math.ceil(sc.M / (1.0 - sc.network.link(e)
+                                                 .loss.average_loss_rate)))
+                 for c, e in zip(caps, flow.links)]
+    rng = np.random.default_rng(5)
+    prices = [rng.uniform(0.0, 0.5, E) for _ in range(50)]
+    for p in prices[:10]:
+        zeroed = p.copy()
+        zeroed[rng.choice(E, size=rng.integers(1, E), replace=False)] = 0.0
+        prices.append(zeroed)
+    prices.append(np.zeros(E))
+    warm = None
+    for lam in prices:
+        for init_m in (None, warm):
+            res = flow_subproblem_local_search(sc, flow, lam, init_m=init_m)
+            ref = local_search_reference(
+                W_list, lam[idx], caps,
+                default_m if init_m is None else init_m, sc.M,
+                sc.solver.search_threshold)
+            assert (res.m, res.objective, res.history,
+                    res.threshold_stop) == ref
+        warm = res.m
+    memo = sc.flow_search(flow).ranks
+    assert len(memo) > 1
+    assert not any(v.flags.writeable for v in memo.values())
+
+
+def test_cached_tables_read_only():
+    sc = make_line_scenario(1)
+    model = sc.loss_model("e1")
+    for table in (sc.hop_tables("e1"),
+                  rankcalc.expected_rank_table(model, sc.q, sc.M),
+                  rankcalc.rank_pmf_table(sc.M, model.m_max, sc.q)):
+        with pytest.raises(ValueError):
+            table[1] += 1.0
+
+
 def test_single_flow_no_collision():
     sc = make_line_scenario(1, eps=0.0)
     alpha, m, val = solve_single_flow_no_collision(sc, sc.flows[0], 1.0)
@@ -240,6 +288,24 @@ def test_nap_deterministic():
     s1 = solve_nap(sc1)
     s2 = solve_nap(sc2)
     assert s1.to_json() == s2.to_json()
+    # again on sc1, whose search contexts are now warm
+    assert solve_nap(sc1).to_json() == s2.to_json()
+
+
+def test_nap_skips_candidates_with_an_idle_flow():
+    # the groupwise polish clips f2's only count to 0; that candidate has
+    # no load for f2 and must be skipped, not sent to the allocation
+    links = [Link("e1", "a", "b", 8.0, LossSpec.independent(0.2)),
+             Link("e2", "b", "c", 8.0, LossSpec.independent(0.1))]
+    net = Network(nodes=["a", "b", "c"], links=links)
+    net.interference = two_hop_interference(net)
+    net.__post_init__()
+    flows = [Flow(id="f1", links=("e1", "e2"), batch_size=4),
+             Flow(id="f2", links=("e2",), batch_size=4)]
+    sc = Scenario(network=net, flows=flows, M=4, m0=12)
+    sol = solve_nap(sc)
+    assert sol.constraint_violation(sc) <= 1e-9
+    assert sol.u_total <= sol.u_tilde + 1e-9
 
 
 def test_primal_dual_small():
