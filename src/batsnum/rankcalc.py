@@ -152,6 +152,24 @@ def transition_matrix(policy, model, q, M):
     return P
 
 
+def almost_deterministic_transition(t, model, q, M):
+    """Transition matrix of the almost-deterministic policy with targets t.
+
+    Row r mixes the send-floor(t[r]) and send-ceil(t[r]) slices of the
+    hop tables; row 0 sends nothing. Equal, bit for bit, to
+    `transition_matrix(expand_almost_deterministic(t, m0), ...)` for
+    targets within the model's support.
+    """
+    W = hop_tables(model, q, M)
+    t = np.asarray(t, dtype=float)
+    lo = np.floor(t).astype(int)
+    frac = t - lo
+    lo[0], frac[0] = 0, 0.0
+    r = np.arange(M + 1)
+    hi = np.minimum(lo + 1, model.m_max)
+    return (1.0 - frac)[:, None] * W[lo, r] + frac[:, None] * W[hi, r]
+
+
 def systematic_transition_matrix(policy, model, q, M, samples=2000, rng_seed=0):
     """Monte-Carlo hop transition matrix for systematic recoding.
 

@@ -177,6 +177,42 @@ class HopResult:
     targets: np.ndarray
     budget_used: float
     concave: bool
+    h_out: np.ndarray  # next-hop rank distribution under `policy`
+
+
+def _greedy_order(model, q, M, cap, fundable):
+    """Ranks in the order the greedy grants them, with an unlimited budget.
+
+    The greedy picks the largest marginal gain E1[r, t+1] - E1[r, t]
+    (ties to the lower rank) among the fundable ranks still below the
+    cap; neither h's values nor the budget enter the choice, so a budget
+    only decides how long a prefix of this order is paid for. Cached on
+    the loss model with the concavity flag of its curves; the order is
+    read-only.
+    """
+    key = ("greedy_order", q, M, cap, fundable.tobytes())
+    got = model._cache.get(key)
+    if got is not None:
+        return got
+    E1 = rankcalc.expected_rank_table(model, q, M)
+    d2 = np.diff(E1[1:, :cap + 1], n=2, axis=1)
+    concave = bool(d2.size == 0 or d2.max() <= 1e-6)
+    ti = np.zeros(M + 1, dtype=int)
+    marg = np.full(M + 1, -np.inf)
+    for r in range(1, M + 1):
+        if fundable[r] and cap >= 1:
+            marg[r] = E1[r, 1] - E1[r, 0]
+    order = []
+    # zero marginals stay grantable so a monotone model exhausts the budget
+    while np.any(marg >= -1e-12):
+        r = int(np.argmax(marg))
+        order.append(r)
+        ti[r] += 1
+        marg[r] = (E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap else -np.inf
+    order = np.array(order, dtype=np.intp)
+    order.flags.writeable = False
+    got = model._cache[key] = (order, concave)
+    return got
 
 
 def optimize_hop(h_in, model, budget, q, M, m0):
@@ -189,41 +225,33 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     monotone-concave curves this is the exact optimum and the result is
     almost deterministic. A failed concavity check is reported in the
     result (greedy still returned).
+
+    The grant order is cached (`_greedy_order`); a call pays the units of
+    that order from left to right until the budget falls to BUDGET_TOL or
+    the next unit no longer fits.
     """
     h = np.asarray(h_in.h if hasattr(h_in, "h") else h_in, dtype=float)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     cap = min(m0, model.m_max)
-    E1 = rankcalc.expected_rank_table(model, q, M)
-    d2 = np.diff(E1[1:, :cap + 1], n=2, axis=1)
-    concave = bool(d2.size == 0 or d2.max() <= 1e-6)
-
-    t = np.zeros(M + 1)
-    ti = np.zeros(M + 1, dtype=int)
-    remaining = float(budget)
     fundable = h > 0
     fundable[0] = False
-    marg = np.full(M + 1, -np.inf)
-    for r in range(1, M + 1):
-        if fundable[r] and cap >= 1:
-            marg[r] = E1[r, 1] - E1[r, 0]
-    # zero marginals stay grantable so a monotone model exhausts the budget
-    while remaining > BUDGET_TOL and np.any(marg >= -1e-12):
-        r = int(np.argmax(marg))
-        cost = h[r]
-        if cost <= remaining:
-            ti[r] += 1
-            t[r] = ti[r]
-            remaining -= cost
-            marg[r] = (E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap else -np.inf
-        else:
-            t[r] = ti[r] + remaining / cost
-            remaining = 0.0
+    order, concave = _greedy_order(model, q, M, cap, fundable)
+    costs = h[order]
+    # rem[k]: budget left before the k-th grant, subtracted in grant order
+    rem = np.subtract.accumulate(np.concatenate(([float(budget)], costs)))
+    stops = np.flatnonzero((rem[:-1] <= BUDGET_TOL) | (costs > rem[:-1]))
+    k = int(stops[0]) if stops.size else len(order)
+    t = np.bincount(order[:k], minlength=M + 1).astype(float)
+    remaining = rem[k]
+    if remaining > BUDGET_TOL and k < len(order):
+        t[order[k]] += remaining / costs[k]
+        remaining = 0.0
     policy = expand_almost_deterministic(AlmostDeterministicSpec(t=t), m0)
-    P = rankcalc.transition_matrix(policy, model, q, M)
-    h_out = h @ P
+    h_out = h @ rankcalc.almost_deterministic_transition(t, model, q, M)
     return HopResult(policy=policy,
                      expected_rank=float(h_out @ np.arange(M + 1)),
                      targets=t,
                      budget_used=float(budget - remaining),
-                     concave=concave)
+                     concave=concave,
+                     h_out=h_out)

@@ -479,8 +479,7 @@ def _neighborhood_best(ctx, m, lam_path, M):
     vals = ctx.ranks.get(key)
     if vals is None:
         vals = ctx.ranks[key] = _neighborhood_ranks(ctx.W_list, opts, M)
-    cand = opts.take(ctx.pick)
-    dens = cand @ lam_path
+    dens = opts.astype(float).take(ctx.pick) @ lam_path
     if dens.min() > 0:
         obj = vals / dens
     elif dens.max() <= 0:
@@ -491,7 +490,7 @@ def _neighborhood_best(ctx, m, lam_path, M):
     mid = len(obj) // 2  # the all-zero move, i.e. m itself
     if obj[best] <= obj[mid] + 1e-15:
         return m, float(obj[mid])
-    return cand[best].tolist(), float(obj[best])
+    return opts.take(ctx.pick[best]).tolist(), float(obj[best])
 
 
 def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None,
@@ -751,7 +750,6 @@ def solve_single_flow_all_collision(scenario, flow, c):
 
 def _flow_two_step(scenario, flow, m_vec, alpha, cfg):
     """Scan the batch-rate scale eta; per-hop budget m_e/eta greedily realloc'd."""
-    W_list = [scenario.hop_tables(e) for e in flow.links]
     models = [scenario.loss_model(e) for e in flow.links]
     caps = scenario.flow_caps(flow)
     arange = np.arange(scenario.M + 1, dtype=float)
@@ -760,14 +758,12 @@ def _flow_two_step(scenario, flow, m_vec, alpha, cfg):
         h = np.zeros(scenario.M + 1)
         h[scenario.M] = 1.0
         pols, mbars = [], []
-        for (W, model, me, cap) in zip(W_list, models, m_vec, caps):
+        for (model, me, cap) in zip(models, m_vec, caps):
             hop = recoding.optimize_hop(h, model, me / eta, scenario.q,
                                         scenario.M, int(cap))
             pols.append(hop.policy)
             mbars.append(hop.budget_used)
-            P = rankcalc.transition_matrix(hop.policy, model,
-                                           scenario.q, scenario.M)
-            h = h @ P
+            h = hop.h_out
         return float(h @ arange), pols, mbars
 
     grid = np.arange(cfg.eta_start, cfg.eta_stop + cfg.eta_step / 2, cfg.eta_step)
@@ -928,8 +924,7 @@ def primal_dual_adaptive(scenario, init_solution=None, config=None):
                 new_pols.append(RecodingPolicy.adaptive(
                     recoding.project_stochastic(lifted)))
             policies[i] = new_pols
-            mbar = [recoding.average_packets(pol, h) for pol, h in
-                    zip(new_pols, _prefix_ranks(scenario, flow, new_pols))]
+            mbar = _policy_mbar_and_rank(scenario, flow, new_pols)[0]
             alpha_i = 1.0 / max(float(
                 np.array([state.multipliers[scenario.network.link_index(e)]
                           for e in flow.links]) @ np.array(mbar)), 1e-12)
@@ -961,14 +956,3 @@ def primal_dual_adaptive(scenario, init_solution=None, config=None):
         schedule_weights=fixed.weights,
         status={"reverted_to_init": False, "pd_steps": cfg.pd_steps},
     )
-
-
-def _prefix_ranks(scenario, flow, policies):
-    """Rank distributions entering each hop under the given policies."""
-    h = rankcalc.RankDistribution.source(scenario.M).h
-    out = [h]
-    for lid, pol in zip(flow.links[:-1], policies[:-1]):
-        P = rankcalc.transition_matrix(pol, scenario.loss_model(lid),
-                                       scenario.q, scenario.M)
-        out.append(out[-1] @ P)
-    return out

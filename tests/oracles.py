@@ -9,6 +9,10 @@ import math
 
 import numpy as np
 
+from batsnum import rankcalc
+from batsnum.recoding import (BUDGET_TOL, AlmostDeterministicSpec, HopResult,
+                              expand_almost_deterministic)
+
 
 def gf256_mul_shift_reduce(a, b, poly=0x11B):
     r = 0
@@ -187,3 +191,51 @@ def local_search_reference(W_list, lam_path, caps, init_m, M, threshold,
         m, cur = m2, obj
         history.append((tuple(m), cur))
     return m, cur, history, threshold_stop
+
+
+def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
+    """The per-unit budget loop `recoding.optimize_hop` replaced.
+
+    Grants one transmit count per iteration to the largest marginal gain
+    (ties to the lower rank) until the budget is spent, and builds the
+    hop transition from the expanded policy. The package's version must
+    agree with it bit for bit.
+    """
+    h = np.asarray(h_in.h if hasattr(h_in, "h") else h_in, dtype=float)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    cap = min(m0, model.m_max)
+    E1 = rankcalc.expected_rank_table(model, q, M)
+    d2 = np.diff(E1[1:, :cap + 1], n=2, axis=1)
+    concave = bool(d2.size == 0 or d2.max() <= 1e-6)
+
+    t = np.zeros(M + 1)
+    ti = np.zeros(M + 1, dtype=int)
+    remaining = float(budget)
+    fundable = h > 0
+    fundable[0] = False
+    marg = np.full(M + 1, -np.inf)
+    for r in range(1, M + 1):
+        if fundable[r] and cap >= 1:
+            marg[r] = E1[r, 1] - E1[r, 0]
+    # zero marginals stay grantable so a monotone model exhausts the budget
+    while remaining > BUDGET_TOL and np.any(marg >= -1e-12):
+        r = int(np.argmax(marg))
+        cost = h[r]
+        if cost <= remaining:
+            ti[r] += 1
+            t[r] = ti[r]
+            remaining -= cost
+            marg[r] = (E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap else -np.inf
+        else:
+            t[r] = ti[r] + remaining / cost
+            remaining = 0.0
+    policy = expand_almost_deterministic(AlmostDeterministicSpec(t=t), m0)
+    P = rankcalc.transition_matrix(policy, model, q, M)
+    h_out = h @ P
+    return HopResult(policy=policy,
+                     expected_rank=float(h_out @ np.arange(M + 1)),
+                     targets=t,
+                     budget_used=float(budget - remaining),
+                     concave=concave,
+                     h_out=h_out)

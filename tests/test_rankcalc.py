@@ -82,6 +82,34 @@ def test_transition_consistent_with_expected_rank():
     assert via_matrix == pytest.approx(via_curves, rel=1e-12)
 
 
+def test_almost_deterministic_transition_matches_expanded_policy():
+    rng = np.random.default_rng(44)
+    M = 8
+    for model in (loss.independent_loss_model(0.3, 20),
+                  loss.empirical_loss_model(
+                      loss.LossSpec.gilbert_elliott(0.9, 0.3, 0.1, 0.3),
+                      m_max=20, samples=500, rng_seed=2)):
+        for m0 in (0, 1, 7, 20):
+            for kind in ("integer", "fractional", "cap", "zero", "mixed"):
+                for _ in range(10):
+                    if kind == "integer":
+                        t = rng.integers(0, m0 + 1, M + 1).astype(float)
+                    elif kind == "fractional":
+                        t = rng.uniform(0, m0, M + 1)
+                    elif kind == "cap":
+                        t = np.full(M + 1, float(m0))
+                    elif kind == "zero":
+                        t = np.zeros(M + 1)
+                    else:
+                        t = rng.choice([0.0, float(m0), rng.uniform(0, m0),
+                                        float(rng.integers(0, m0 + 1))], M + 1)
+                    want = rankcalc.transition_matrix(
+                        expand_almost_deterministic(t, m0), model, 256, M)
+                    got = rankcalc.almost_deterministic_transition(
+                        t, model, 256, M)
+                    assert np.array_equal(got, want)
+
+
 def test_policy_support_exceeding_model_raises():
     model = loss.independent_loss_model(0.2, 10)
     with pytest.raises(ValueError):

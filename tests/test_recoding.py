@@ -8,7 +8,8 @@ from batsnum.recoding import (AlmostDeterministicSpec, RecodingPolicy,
                               average_packets, average_packets_gradient,
                               expand_almost_deterministic, optimize_hop,
                               project_stochastic)
-from oracles import almost_deterministic_exhaustive, simplex_projection_qp
+from oracles import (almost_deterministic_exhaustive, optimize_hop_budget_loop,
+                     simplex_projection_qp)
 from batsnum import rankcalc
 
 
@@ -173,7 +174,7 @@ def test_optimize_hop_monotone_in_budget():
         prev = res.expected_rank
 
 
-def test_optimize_hop_flags_nonconcave_model():
+def _nonconcave_model():
     m_max = 8
     tab = np.zeros((m_max + 1, m_max + 1))
     tab[0, 0] = 1.0
@@ -181,9 +182,73 @@ def test_optimize_hop_flags_nonconcave_model():
         tab[m, m] = 1.0
     tab[6] = 0.0
     tab[6, 0] = 1.0
-    model = loss.BatchLossModel(m_max=m_max, q_table=tab)
-    res = optimize_hop(unit_h(4, 4), model, 5.0, 256, 4, 8)
+    return loss.BatchLossModel(m_max=m_max, q_table=tab)
+
+
+def test_optimize_hop_flags_nonconcave_model():
+    res = optimize_hop(unit_h(4, 4), _nonconcave_model(), 5.0, 256, 4, 8)
     assert not res.concave
+
+
+def _random_h(rng, M):
+    if rng.random() < 0.2:
+        return unit_h(M, int(rng.integers(0, M + 1)))
+    h = rng.dirichlet(np.ones(M + 1))
+    h[rng.random(M + 1) < 0.4] = 0.0  # ranks nobody can fund
+    if h.sum() == 0:
+        h[M] = 1.0
+    return h / h.sum()
+
+
+def test_optimize_hop_bit_equal_to_budget_loop():
+    ge = loss.LossSpec.gilbert_elliott(0.9, 0.3, 0.1, 0.3)
+    models = [loss.independent_loss_model(0.2, 24),
+              loss.independent_loss_model(0.4, 24),
+              loss.empirical_loss_model(ge, m_max=24, samples=2000,
+                                        rng_seed=5, stationarize=True),
+              loss.empirical_loss_model(ge, m_max=24, samples=2000,
+                                        rng_seed=5, stationarize=False),
+              _nonconcave_model()]
+    rng = np.random.default_rng(2016)
+    checked = 0
+    for model in models:
+        for M in (4, 8, 16):
+            for _ in range(15):
+                h = _random_h(rng, M)
+                m0 = int(rng.integers(0, model.m_max + 1))
+                fundable = h > 0
+                fundable[0] = False
+                order, _ = recoding._greedy_order(
+                    model, 256, M, min(m0, model.m_max), fundable)
+                costs = h[order]
+                full = float(costs.sum())
+                # 0 and 1e-13 sit at or below BUDGET_TOL; a prefix sum of
+                # the grant costs lands on a unit boundary
+                edge = (float(np.cumsum(costs)[rng.integers(len(costs))])
+                        if len(costs) else 1.0)
+                for budget in (0.0, 1e-13, float(rng.uniform(0, full)),
+                               edge, full * 1.5 + 1.0):
+                    got = optimize_hop(h, model, budget, 256, M, m0)
+                    want = optimize_hop_budget_loop(h, model, budget, 256, M, m0)
+                    assert np.array_equal(got.targets, want.targets)
+                    assert got.budget_used == want.budget_used
+                    assert got.expected_rank == want.expected_rank
+                    assert got.concave == want.concave
+                    assert np.array_equal(got.policy.p, want.policy.p)
+                    assert np.array_equal(got.h_out, want.h_out)
+                    checked += 1
+    assert checked >= 1000
+
+
+def test_greedy_order_cached_read_only():
+    model = loss.independent_loss_model(0.2, 20)
+    fundable = np.ones(5, dtype=bool)
+    fundable[0] = False
+    order, concave = recoding._greedy_order(model, 256, 4, 12, fundable)
+    assert concave and len(order) == 4 * 12
+    with pytest.raises(ValueError):
+        order[0] = 1
+    assert recoding._greedy_order(model, 256, 4, 12, fundable)[0] is order
 
 
 def test_policy_json_roundtrip():
