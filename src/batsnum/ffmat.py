@@ -2,7 +2,9 @@
 
 Matrices are numpy uint8 arrays. GF(256) uses the reduction polynomial
 x^8+x^4+x^3+x+1 (0x11B); multiplication goes through 256x256 lookup
-tables built from exp/log tables over generator 3. Everything here is
+tables built from exp/log tables over generator 3. Elimination works on
+rows packed into Python ints (`RowBasis`), one row at a time, so the
+simulator can reduce each packet as it arrives. Everything here is
 pure given an explicit numpy Generator, so callers own all RNG state.
 """
 
@@ -50,11 +52,6 @@ def gf_mul(a, b, q=256):
     return _MUL256[a, b]
 
 
-def gf_add(a, b, q=256):
-    """Sum of two field elements; XOR in characteristic 2."""
-    _check_field(q)
-    return a ^ b
-
 def gf_inv(a, q=256):
     """Multiplicative inverse of a nonzero element."""
     _check_field(q)
@@ -84,42 +81,82 @@ def gf_matmul(A, B, q=256):
     return np.bitwise_xor.reduce(prod, axis=1)
 
 
+# _SCALE[c] maps every byte x to c * x, for bytes.translate
+_SCALE = [bytes(row) for row in _MUL256]
+_from_bytes = int.from_bytes
+
+
+class RowBasis:
+    """Row space over GF(256), grown one row at a time.
+
+    A row is an int with one byte per column, column 0 the most
+    significant, so its byte length nb names its pivot column (cols - nb).
+    `pivots` maps nb to the basis row with that pivot as nb bytes, the
+    first of them 1. GF(2) is the subfield {0, 1} of GF(256) and ranks do
+    not depend on the field, so 0/1 rows take the same path.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def absorb(self, row):
+        """Reduce `row` against the basis; keep it and return True when it is
+        innovative (outside the span), else return False."""
+        pivots = self.pivots
+        while row:
+            nb = (row.bit_length() + 7) >> 3
+            piv = pivots.get(nb)
+            if piv is None:
+                piv = row.to_bytes(nb, "big")
+                if piv[0] != 1:
+                    piv = piv.translate(_SCALE[_INV256[piv[0]]])
+                pivots[nb] = piv
+                return True
+            row ^= _from_bytes(piv.translate(_SCALE[row >> ((nb - 1) << 3)]),
+                               "big")
+        return False
+
+    def to_array(self, cols):
+        """Basis rows as a (rank, cols) uint8 array in echelon order."""
+        data = bytearray().join(bytes(cols - nb) + self.pivots[nb]
+                                for nb in sorted(self.pivots, reverse=True))
+        return np.frombuffer(data, dtype=np.uint8).reshape(self.rank, cols)
+
+
+def int_rows(A):
+    """The rows of a 2-D uint8 array as ints (see `RowBasis`)."""
+    data, cols = A.tobytes(), A.shape[1]
+    return [_from_bytes(data[i:i + cols], "big")
+            for i in range(0, len(data), cols)]
+
+
+def _basis_of(A, q):
+    _check_field(q)
+    A = np.asarray(A, dtype=np.uint8)
+    basis = RowBasis()
+    for row in int_rows(A) if A.size else ():
+        if basis.absorb(row) and basis.rank == A.shape[1]:
+            break
+    return A, basis
+
+
 def row_reduce(A, q=256):
     """Row-echelon reduction; returns (basis rows, rank).
 
     The returned rows span the row space of A and are linearly
-    independent (not necessarily the original rows).
+    independent (not necessarily the original rows); each row's leading
+    entry is 1 and the rows are ordered by their leading column.
     """
-    _check_field(q)
-    A = np.array(A, dtype=np.uint8)
-    if A.size == 0:
-        return A.reshape(0, A.shape[1] if A.ndim == 2 else 0), 0
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        if q == 256 and A[r, c] != 1:
-            A[r] = _MUL256[_INV256[A[r, c]], A[r]]
-        below = A[r + 1:, c] != 0
-        if np.any(below):
-            if q == 2:
-                A[r + 1:][below] ^= A[r]
-            else:
-                A[r + 1:][below] ^= _MUL256[A[r + 1:, c][below][:, None], A[r][None, :]]
-        r += 1
-        if r == rows:
-            break
-    return A[:r], r
+    A, basis = _basis_of(A, q)
+    return basis.to_array(A.shape[1] if A.ndim == 2 else 0), basis.rank
 
 
 def matrix_rank(A, q=256):
     """Rank via Gaussian elimination; empty matrices have rank 0."""
-    return row_reduce(A, q=q)[1]
+    return _basis_of(A, q)[1].rank

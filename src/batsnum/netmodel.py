@@ -142,9 +142,6 @@ class Schedule:
                     return False
         return True
 
-    def active_links(self, network):
-        return [l.id for l, a in zip(network.links, self.active) if a]
-
 
 def two_hop_interference(network):
     """Conflict sets where links within two hops of each other collide.

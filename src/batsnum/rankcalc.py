@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ffmat
-
 
 @dataclass(frozen=True)
 class RankDistribution:
@@ -170,48 +168,6 @@ def almost_deterministic_transition(t, model, q, M):
     return (1.0 - frac)[:, None] * W[lo, r] + frac[:, None] * W[hi, r]
 
 
-def systematic_transition_matrix(policy, model, q, M, samples=2000, rng_seed=0):
-    """Monte-Carlo hop transition matrix for systematic recoding.
-
-    A rank-r batch is represented by r independent coefficient vectors;
-    the sender transmits those vectors first (random combinations beyond
-    r), in a uniformly random order, and the arrival count is drawn from
-    the loss model with a uniformly random surviving subset.
-    """
-    rng = np.random.default_rng(rng_seed)
-    P = np.zeros((M + 1, M + 1))
-    P[0, 0] = 1.0
-    for r in range(1, M + 1):
-        counts = np.zeros(M + 1)
-        ms = [m for m, p in policy.support(r) if p > 0]
-        ps = np.array([p for m, p in policy.support(r) if p > 0])
-        ps = ps / ps.sum()
-        if max(ms) > model.m_max:
-            raise ValueError(f"policy sends {max(ms)} > model m_max {model.m_max}")
-        for _ in range(samples):
-            m = int(rng.choice(ms, p=ps)) if len(ms) > 1 else ms[0]
-            if m == 0:
-                counts[0] += 1
-                continue
-            k = int(rng.choice(model.m_max + 1, p=model.q_table[m]))
-            if k == 0:
-                counts[0] += 1
-                continue
-            basis = np.zeros((r, M), dtype=np.uint8)
-            basis[:, :r] = np.eye(r, dtype=np.uint8)
-            n_sys = min(m, r)
-            sent = np.zeros((m, M), dtype=np.uint8)
-            sent[:n_sys] = basis[:n_sys]
-            if m > r:
-                coef = ffmat.random_matrix(m - r, r, rng, q=q)
-                sent[r:] = ffmat.gf_matmul(coef, basis, q=q)
-            order = rng.permutation(m)
-            got = sent[order[:k]]
-            counts[ffmat.matrix_rank(got, q=q)] += 1
-        P[r] = counts / counts.sum()
-    return P
-
-
 def propagate(h0, path_matrices):
     """Push a rank distribution through a chain of hop transition matrices."""
     h = np.asarray(h0.h if isinstance(h0, RankDistribution) else h0, dtype=float)
@@ -250,12 +206,6 @@ def chain_gradient(h0, path_matrices, hop_index, model, q, m_cols,
         raise ValueError(f"m_cols {m_cols} exceeds model support {W.shape[0]}")
     T = W[:m_cols] @ right            # (m_cols, M+1)
     return left[:, None] * T.T        # (M+1, m_cols)
-
-
-def expected_rank_gradient(h0, path_matrices, hop_index, policy, model, q):
-    """d E[h_L] / d p(m|r) for the policy at `hop_index` (0-based)."""
-    m_cols = policy.support_columns()
-    return chain_gradient(h0, path_matrices, hop_index, model, q, m_cols)
 
 
 def cutset_bound(M, per_edge):

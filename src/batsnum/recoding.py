@@ -42,6 +42,7 @@ class RecodingPolicy:
                 raise ValueError("policy rows must sum to 1")
             if abs(p[0, 0] - 1.0) > 1e-9:
                 raise ValueError("rank-0 row must be the point mass at 0")
+            object.__setattr__(self, "_cdf", {})  # rank -> sampling CDF
         else:
             raise ValueError(f"unknown policy kind {self.kind!r}")
 
@@ -66,17 +67,17 @@ class RecodingPolicy:
             return self.m + 1
         return self.p.shape[1]
 
-    def max_count(self):
-        if self.kind == "nonadaptive":
-            return self.m
-        return int(max((m for r in range(self.p.shape[0])
-                        for m, _ in self.support(r)), default=0))
-
     def sample_count(self, r, rng):
+        """Transmit count for rank r, drawn as `rng.choice(len(row), p=row)`
+        draws it, from the row's CDF built once per policy."""
         if self.kind == "nonadaptive":
             return self.m
-        row = self.p[r]
-        return int(rng.choice(len(row), p=row))
+        cdf = self._cdf.get(r)
+        if cdf is None:
+            cdf = self.p[r].cumsum()
+            cdf /= cdf[-1]
+            self._cdf[r] = cdf
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     def to_json(self):
         if self.kind == "nonadaptive":

@@ -4,6 +4,9 @@ Batches are tracked by their coefficient vectors over GF(q); every hop
 regenerates packets by linear combination, links lose packets through
 their own channel instances, and a TDMA frame built from the solver's
 schedule decomposition keeps interfering links apart by construction.
+Receivers reduce each arriving packet into the batch's basis at once
+(`ffmat.RowBasis`) and stop reducing when the basis reaches the sender's
+rank: every later packet lies in the sender's span and is redundant.
 """
 
 from __future__ import annotations
@@ -20,15 +23,6 @@ from .loss import GEChannel
 from .netmodel import Schedule
 
 
-@dataclass(slots=True)
-class Packet:
-    flow: str
-    batch: int
-    coeff: np.ndarray
-    last_of_batch: bool
-    seq: int
-
-
 @dataclass
 class SimReport:
     slots: int
@@ -41,6 +35,8 @@ class SimReport:
     buffer_series: np.ndarray | None   # (slots, nodes) packets awaiting send
     buffer_nodes: list
     link_stats: dict         # link id -> {"sent": n, "received": n}
+    link_innovation: dict    # link id -> {"innovative": n, "redundant": n}
+    died: dict               # flow id -> per-hop batches that vanished there
 
     def empirical_rank_distribution(self, flow_id):
         counts = self.rank_hist[flow_id]
@@ -61,6 +57,8 @@ class SimReport:
                 for fid in self.flow_ids
             },
             "link_stats": self.link_stats,
+            "link_innovation": self.link_innovation,
+            "died": self.died,
             "buffer_nodes": self.buffer_nodes,
         }
 
@@ -123,14 +121,13 @@ class BatchSource:
 @dataclass
 class _RxState:
     batch: int = -1
-    rows: list = field(default_factory=list)
+    basis: ffmat.RowBasis = field(default_factory=ffmat.RowBasis)
 
 
 class _LossChannel:
     """Per-link loss process advanced once per transmitted packet."""
 
     def __init__(self, spec, rng):
-        self.kind = spec.kind
         self.rng = rng
         if spec.kind == "independent":
             self.p_recv = 1.0 - spec.epsilon
@@ -142,28 +139,21 @@ class _LossChannel:
     def transmit(self):
         if self.ge is None:
             return self.rng.random() < self.p_recv
-        received, _ = self.ge.step(self.rng)
-        return received
+        return self.ge.step(self.rng)[0]
 
 
 def _uniform_recode(basis, m, q, rng):
     """m random linear combinations of the basis rows (m x M coefficients)."""
-    M = basis.shape[1]
-    if m == 0:
-        return np.zeros((0, M), dtype=np.uint8)
-    if basis.shape[0] == 0:
-        return np.zeros((m, M), dtype=np.uint8)
+    if m == 0 or basis.shape[0] == 0:
+        return np.zeros((m, basis.shape[1]), dtype=np.uint8)
     coef = ffmat.random_matrix(m, basis.shape[0], rng, q=q)
     return ffmat.gf_matmul(coef, basis, q=q)
 
 
 def _systematic_recode(basis, m, q, rng):
     """Independent received rows first, then random combinations; shuffled."""
-    M = basis.shape[1]
-    r = basis.shape[0]
-    if m == 0:
-        return np.zeros((0, M), dtype=np.uint8)
-    if r == 0:
+    r, M = basis.shape
+    if m == 0 or r == 0:
         return np.zeros((m, M), dtype=np.uint8)
     out = np.zeros((m, M), dtype=np.uint8)
     n_sys = min(m, r)
@@ -193,7 +183,9 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     each transmitted packet passes the link's loss channel, and receivers
     close batches on the marked last packet or on the arrival of a newer
     batch. Returns per-flow empirical rank statistics, throughput
-    utilities, and per-node buffer occupancy.
+    utilities, per-node buffer occupancy, per-link innovative/redundant
+    arrivals, and per-hop counts of vanished batches (all packets lost,
+    or none sent).
     """
     net = scenario.network
     M, q = scenario.M, scenario.q
@@ -227,94 +219,106 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
 
     sources = {f.id: BatchSource(float(solution.alpha[i]))
                for i, f in enumerate(scenario.flows)}
-    batch_no = {f.id: 0 for f in scenario.flows}
     emitted = {f.id: 0 for f in scenario.flows}
     completed = {f.id: 0 for f in scenario.flows}
     rank_hist = {f.id: np.zeros(M + 1, dtype=np.int64) for f in scenario.flows}
     delivered = {f.id: 0.0 for f in scenario.flows}
     link_sent = {l.id: 0 for l in net.links}
     link_recv = {l.id: 0 for l in net.links}
+    innovative = {l.id: 0 for l in net.links}
+    redundant = {l.id: 0 for l in net.links}
+    died = {key: 0 for key in in_link}
 
     buffer_nodes = list(net.nodes)
-    node_at = {n: i for i, n in enumerate(buffer_nodes)}
     buffers = (np.zeros((slots, len(buffer_nodes)), dtype=np.int32)
                if record_buffers else None)
-    queued_at_node = {n: 0 for n in buffer_nodes}
+    queued_at_node = {n: 0 for n in buffer_nodes}  # in buffer_nodes order
 
-    def enqueue(flow_id, lid, batch_id, rows):
+    def enqueue(flow_id, lid, batch_id, rows, sender_rank):
+        # a packet is (flow, batch, coefficient row packed as in
+        # ffmat.RowBasis, rank of the batch at the sender, last of batch)
         n = rows.shape[0]
-        tail_node = net.link(lid).tail
-        for i in range(n):
-            queues[lid].append(Packet(flow=flow_id, batch=batch_id,
-                                      coeff=rows[i],
-                                      last_of_batch=(i == n - 1), seq=i))
-        queued_at_node[tail_node] += n
+        if n == 0:
+            died[(flow_id, lid)] += 1
+            return
+        queues[lid].extend((flow_id, batch_id, coeff, sender_rank, i == n - 1)
+                           for i, coeff in enumerate(ffmat.int_rows(rows)))
+        queued_at_node[net.link(lid).tail] += n
 
     def close_batch(flow_id, lid, state):
         if state.batch < 0:
             return
-        rows = (np.array(state.rows, dtype=np.uint8)
-                if state.rows else np.zeros((0, M), dtype=np.uint8))
-        basis, rank = ffmat.row_reduce(rows, q=q)
-        node = link_head[lid]
-        out_link = next_hop[(flow_id, node)]
+        rank = state.basis.rank
+        out_link = next_hop[(flow_id, link_head[lid])]
         if out_link is None:
             rank_hist[flow_id][rank] += 1
             delivered[flow_id] += rank
             completed[flow_id] += 1
         else:
             pol = policy_for[(flow_id, out_link)]
-            rows_out = recode_batch(basis, pol, rank, q,
+            rows_out = recode_batch(state.basis.to_array(M), pol, rank, q,
                                     flow_rng[flow_id], mode=recode_mode)
-            enqueue(flow_id, out_link, state.batch, rows_out)
+            enqueue(flow_id, out_link, state.batch, rows_out, rank)
         state.batch = -1
-        state.rows = []
 
-    source_policy = {f.id: solution.policies[i][0]
-                     for i, f in enumerate(scenario.flows)}
     identity = np.eye(M, dtype=np.uint8)
+    active_links = [[l for l, a in zip(net.links, s.active) if a]
+                    for s in frame]
 
     for slot in range(slots):
         # sources
         for f in scenario.flows:
             for _ in range(sources[f.id].step()):
-                bid = batch_no[f.id]
-                batch_no[f.id] += 1
+                bid = emitted[f.id]
                 emitted[f.id] += 1
-                rows = recode_batch(identity, source_policy[f.id], M, q,
-                                    flow_rng[f.id], mode=recode_mode)
-                enqueue(f.id, f.links[0], bid, rows)
+                rows = recode_batch(identity, policy_for[(f.id, f.links[0])],
+                                    M, q, flow_rng[f.id], mode=recode_mode)
+                enqueue(f.id, f.links[0], bid, rows, M)
         # scheduled transmissions
-        sched = frame[slot % len(frame)]
-        for li, active in enumerate(sched.active):
-            if not active:
-                continue
-            link = net.links[li]
+        for link in active_links[slot % len(frame)]:
             qq = queues[link.id]
             credit[link.id] += link.capacity
             while credit[link.id] >= 1.0 and qq:
                 credit[link.id] -= 1.0
-                pkt = qq.popleft()
+                fid, bid, coeff, sender_rank, last = qq.popleft()
                 queued_at_node[link.tail] -= 1
                 link_sent[link.id] += 1
+                st = in_link[(fid, link.id)]
                 if not channels[link.id].transmit():
-                    continue  # receivers cannot react to lost packets
+                    # receivers cannot react to lost packets; a batch none
+                    # of whose packets arrived vanishes on this hop
+                    if last and st.batch != bid:
+                        died[(fid, link.id)] += 1
+                    continue
                 link_recv[link.id] += 1
-                st = in_link[(pkt.flow, link.id)]
-                if pkt.batch > st.batch:
+                if bid > st.batch:
                     if st.batch >= 0:
-                        close_batch(pkt.flow, link.id, st)
-                    st.batch = pkt.batch
-                    st.rows = []
-                if pkt.batch == st.batch:
-                    st.rows.append(pkt.coeff)
-                    if pkt.last_of_batch:
-                        close_batch(pkt.flow, link.id, st)
+                        close_batch(fid, link.id, st)
+                    st.batch = bid
+                    st.basis = ffmat.RowBasis()
+                if bid == st.batch:
+                    # past the sender's rank no row can be innovative
+                    if st.basis.rank < sender_rank and st.basis.absorb(coeff):
+                        innovative[link.id] += 1
+                    else:
+                        redundant[link.id] += 1
+                    if last:
+                        close_batch(fid, link.id, st)
             if not qq:
                 credit[link.id] = 0.0  # service is use-it-or-lose-it when idle
         if record_buffers:
-            for n, count in queued_at_node.items():
-                buffers[slot, node_at[n]] = count
+            buffers[slot] = tuple(queued_at_node.values())
+
+    # every emitted batch was delivered or vanished, or is queued or open
+    in_flight = {pkt[:2] for qq in queues.values() for pkt in qq}
+    in_flight |= {(fid, st.batch) for (fid, _), st in in_link.items()
+                  if st.batch >= 0}
+    died_per_hop = {f.id: [died[(f.id, lid)] for lid in f.links]
+                    for f in scenario.flows}
+    for f in scenario.flows:
+        n_flight = sum(fid == f.id for fid, _ in in_flight)
+        assert emitted[f.id] == (completed[f.id] + sum(died_per_hop[f.id])
+                                 + n_flight), f"flow {f.id} lost track of a batch"
 
     utilities = {}
     for f in scenario.flows:
@@ -332,6 +336,10 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
         buffer_nodes=buffer_nodes,
         link_stats={lid: {"sent": link_sent[lid], "received": link_recv[lid]}
                     for lid in link_sent},
+        link_innovation={lid: {"innovative": innovative[lid],
+                               "redundant": redundant[lid]}
+                         for lid in link_sent},
+        died=died_per_hop,
     )
 
 

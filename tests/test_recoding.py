@@ -257,3 +257,33 @@ def test_policy_json_roundtrip():
     assert np.allclose(back.p, pol.p)
     na = RecodingPolicy.nonadaptive(19)
     assert RecodingPolicy.from_json(na.to_json()).m == 19
+
+
+def test_sample_count_draws_as_generator_choice():
+    # the cached-CDF draw must give rng.choice's index and leave the
+    # generator in the same state, draw after draw
+    rng = np.random.default_rng(11)
+    M, cols = 16, 30
+    policies = []
+    for k in (2, 5, cols):
+        p = np.zeros((M + 1, cols))
+        p[0, 0] = 1.0
+        for r in range(1, M + 1):
+            support = rng.choice(cols, size=k, replace=False)
+            w = rng.random(k)
+            p[r, support] = w / w.sum()
+        policies.append(RecodingPolicy.adaptive(p))
+    t = rng.uniform(0, cols - 1, M + 1)
+    t[0] = 0.0
+    policies.append(expand_almost_deterministic(t, cols - 1))
+    mine, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for i in range(20_000):
+        pol = policies[i % len(policies)]
+        r = int(rng.integers(0, M + 1))
+        row = pol.p[r]
+        assert pol.sample_count(r, mine) == int(ref.choice(len(row), p=row))
+        assert mine.bit_generator.state == ref.bit_generator.state
+    fixed = RecodingPolicy.nonadaptive(7)
+    before = mine.bit_generator.state
+    assert [fixed.sample_count(r, mine) for r in range(M + 1)] == [7] * (M + 1)
+    assert mine.bit_generator.state == before

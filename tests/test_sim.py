@@ -229,3 +229,21 @@ def test_report_json_dict():
     assert doc["slots"] == 5000
     assert "f1" in doc["flows"]
     assert len(doc["flows"]["f1"]["rank_histogram"]) == 17
+
+
+def test_batches_lost_on_a_hop_are_counted_as_died():
+    # two packets per batch through 0.9 loss: most batches lose both
+    sc = single_link_scenario(eps=0.9)
+    sol = manual_solution(sc, m=2, alpha=0.1)
+    rep = run_simulation(sc, sol, slots=20_000, rng_seed=3)
+    died = rep.died["f1"]
+    assert len(died) == 1
+    n = rep.emitted["f1"]
+    assert rep.completed["f1"] + died[0] in (n, n - 1)  # one may be in flight
+    assert died[0] == pytest.approx(0.81 * n, rel=0.05)
+    assert rep.rank_hist["f1"].sum() == rep.completed["f1"]
+    st, inn = rep.link_stats["e1"], rep.link_innovation["e1"]
+    assert inn["innovative"] + inn["redundant"] == st["received"]
+    doc = rep.to_json_dict()
+    assert doc["died"] == {"f1": died}
+    assert doc["link_innovation"] == rep.link_innovation

@@ -1,0 +1,128 @@
+"""Frozen per-seed outputs of short packet-level runs.
+
+The digests were recorded from the simulator that stacked each batch's
+received rows and re-eliminated them when the batch closed. Any receiver
+basis spans the same space, the coefficient draws consume the generators
+in the same order, and rows beyond the sender's rank cannot be
+innovative, so these runs must reproduce the recorded outputs exactly.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from batsnum import solvers
+from batsnum.loss import LossSpec
+from batsnum.netmodel import Flow, Link, Network, Schedule
+from batsnum.recoding import RecodingPolicy
+from batsnum.sim import run_simulation
+
+M = 16
+
+
+def line_scenario(losses):
+    """Line v0 - v1 - v2 - v3; f1 crosses all three links, f2 the last two."""
+    nodes = ["v0", "v1", "v2", "v3"]
+    links = [Link(f"e{i + 1}", nodes[i], nodes[i + 1], 1.0, loss)
+             for i, loss in enumerate(losses)]
+    flows = [Flow(id="f1", links=("e1", "e2", "e3"), batch_size=M),
+             Flow(id="f2", links=("e2", "e3"), batch_size=M)]
+    return solvers.Scenario(network=Network(nodes=nodes, links=links),
+                            flows=flows, M=M)
+
+
+def adaptive_policy(seed, cols=24):
+    """Rank-adaptive policy with random rows over a few counts; low ranks
+    may send nothing, so some batches vanish on the way."""
+    rng = np.random.default_rng(seed)
+    p = np.zeros((M + 1, cols))
+    p[0, 0] = 1.0
+    for r in range(1, M + 1):
+        counts = rng.choice(np.arange(1, cols), size=3, replace=False)
+        if r <= 3:
+            counts[0] = 0
+        w = rng.random(3)
+        p[r, counts] += w / w.sum()
+    return RecodingPolicy.adaptive(p)
+
+
+def line_solution(sc, policies, alpha):
+    """Each link alone in a third of the frame; alpha sized to fit."""
+    mbar = [[float(pol.support_columns() - 1) for pol in pols]
+            for pols in policies]
+    n = len(sc.flows)
+    return solvers.Solution(
+        mode="nap", flow_ids=[f.id for f in sc.flows], alpha=np.array(alpha),
+        eta=np.ones(n), policies=policies, mbar=mbar,
+        expected_rank=np.ones(n), utilities=np.zeros(n), u_total=0.0,
+        u_tilde=0.0, kappa=1.0, rate_vector=np.full(3, 1 / 3),
+        schedule_weights=[(Schedule(active=tuple(int(j == i)
+                                                 for j in range(3))), 1 / 3)
+                          for i in range(3)],
+        status={})
+
+
+def report_digest(rep):
+    doc = {
+        "emitted": rep.emitted,
+        "completed": rep.completed,
+        "delivered_rank": {f: repr(v) for f, v in rep.delivered_rank.items()},
+        "utilities": {f: repr(v) for f, v in rep.utilities.items()},
+        "rank_hist": {f: [int(x) for x in h] for f, h in rep.rank_hist.items()},
+        "link_stats": rep.link_stats,
+        "buffers": hashlib.sha1(rep.buffer_series.tobytes()).hexdigest(),
+    }
+    return hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+IID = [LossSpec.independent(0.2), LossSpec.independent(0.1),
+       LossSpec.independent(0.3)]
+GE = [LossSpec.independent(0.2),
+      LossSpec.gilbert_elliott(1.0, 0.6, 1e-2, 1e-2),
+      LossSpec.gilbert_elliott(0.95, 0.3, 5e-3, 2e-2)]
+NONADAPTIVE = [[RecodingPolicy.nonadaptive(m) for m in (20, 18, 22)],
+               [RecodingPolicy.nonadaptive(m) for m in (19, 21)]]
+ADAPTIVE = [[adaptive_policy(s) for s in (1, 2, 3)],
+            [adaptive_policy(s) for s in (4, 5)]]
+
+RUNS = {
+    "iid-uniform": (IID, NONADAPTIVE, "uniform", 11,
+                    "1ee74d046be7cbef9bf42e22c44b176a4000af10"),
+    "iid-systematic": (IID, NONADAPTIVE, "systematic", 12,
+                       "8ce51e37adba453d81229b71597ab46d9a7e1d33"),
+    "ge-uniform": (GE, NONADAPTIVE, "uniform", 13,
+                   "defe2972c7cb7e62bca93c35431387506e47148e"),
+    "iid-adaptive": (IID, ADAPTIVE, "uniform", 14,
+                     "012f8ce55a543f1b810ffa8fbc0dff2876687d10"),
+    "ge-adaptive-systematic": (GE, ADAPTIVE, "systematic", 15,
+                               "6083e05e10e81f7401db2b1b1ee61f8fdff8411f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_simulation_outputs_frozen(name):
+    losses, policies, mode, seed, want = RUNS[name]
+    sc = line_scenario(losses)
+    sol = line_solution(sc, policies, alpha=[0.0065, 0.007])
+    rep = run_simulation(sc, sol, slots=40_000, rng_seed=seed,
+                         recode_mode=mode)
+    assert report_digest(rep) == want
+
+
+def test_report_accounts_for_packets_and_batches():
+    sc = line_scenario(IID)
+    sol = line_solution(sc, ADAPTIVE, alpha=[0.0065, 0.007])
+    rep = run_simulation(sc, sol, slots=40_000, rng_seed=14)
+    for lid, st in rep.link_stats.items():
+        inn = rep.link_innovation[lid]
+        assert inn["innovative"] + inn["redundant"] == st["received"]
+        assert inn["innovative"] > 0 and inn["redundant"] > 0
+    # e1 carries only f1, whose source batches have rank 16
+    assert rep.link_innovation["e1"]["innovative"] <= 16 * rep.emitted["f1"]
+    for f in sc.flows:
+        assert len(rep.died[f.id]) == len(f.links)
+        assert rep.completed[f.id] + sum(rep.died[f.id]) <= rep.emitted[f.id]
+    # low ranks may send nothing under these policies
+    assert sum(rep.died["f1"]) > 0
