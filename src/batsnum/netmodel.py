@@ -84,11 +84,10 @@ class Network:
 
     def conflict_matrix(self):
         n = len(self.links)
-        idx = {l.id: i for i, l in enumerate(self.links)}
         C = np.zeros((n, n), dtype=bool)
         for e, conf in self.interference.items():
             for e2 in conf:
-                C[idx[e], idx[e2]] = True
+                C[self.link_index(e), self.link_index(e2)] = True
         return C
 
 
@@ -133,12 +132,11 @@ class Schedule:
     active: tuple
 
     def is_feasible(self, network):
-        idx = {l.id: i for i, l in enumerate(network.links)}
-        for l in network.links:
-            if not self.active[idx[l.id]]:
+        for i, l in enumerate(network.links):
+            if not self.active[i]:
                 continue
             for other in network.interference[l.id]:
-                if self.active[idx[other]]:
+                if self.active[network.link_index(other)]:
                     return False
         return True
 
@@ -212,19 +210,25 @@ def schedule_rate_matrix(network):
     return scheds, arr * network.capacities
 
 
-def max_weight_schedule(network, weights):
-    """Feasible schedule maximizing sum_e weight_e * c_e * s_e.
+def max_weight_index(rates, weights):
+    """Row of the (S, E) schedule rate matrix maximizing rates @ weights.
 
-    Ties break toward the lexicographically smallest activation vector
-    (the enumeration order), so results are deterministic.
+    Values within 1e-12 * max(1, |best|) of the best tie, and ties break
+    toward the first row: for `schedule_rate_matrix` that is the
+    lexicographically smallest activation vector, so picks are
+    deterministic.
     """
-    weights = np.asarray(weights, dtype=float)
-    scheds, rates = schedule_rate_matrix(network)
     vals = rates @ weights
     best = float(vals.max())
-    # first index among ties == lexicographically smallest active vector
-    idx = int(np.flatnonzero(vals >= best - 1e-12 * max(1.0, abs(best)))[0])
-    return scheds[idx], float(vals[idx])
+    return int(np.flatnonzero(vals >= best - 1e-12 * max(1.0, abs(best)))[0])
+
+
+def max_weight_schedule(network, weights):
+    """Feasible schedule maximizing sum_e weight_e * c_e * s_e."""
+    weights = np.asarray(weights, dtype=float)
+    scheds, rates = schedule_rate_matrix(network)
+    idx = max_weight_index(rates, weights)
+    return scheds[idx], float(rates[idx] @ weights)
 
 
 def decompose_rate_vector(network, target):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,12 +174,19 @@ def _project_simplex(v):
 
 @dataclass
 class HopResult:
-    policy: RecodingPolicy
     expected_rank: float
     targets: np.ndarray
+    m0: int
     budget_used: float
     concave: bool
     h_out: np.ndarray  # next-hop rank distribution under `policy`
+
+    @cached_property
+    def policy(self):
+        """The almost-deterministic policy of `targets`, expanded on first
+        use: a solve reads only its final hops' policies."""
+        return expand_almost_deterministic(AlmostDeterministicSpec(t=self.targets),
+                                           self.m0)
 
 
 def _greedy_order(model, q, M, cap, fundable):
@@ -248,11 +256,10 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     if remaining > BUDGET_TOL and k < len(order):
         t[order[k]] += remaining / costs[k]
         remaining = 0.0
-    policy = expand_almost_deterministic(AlmostDeterministicSpec(t=t), m0)
     h_out = h @ rankcalc.almost_deterministic_transition(t, model, q, M)
-    return HopResult(policy=policy,
-                     expected_rank=float(h_out @ np.arange(M + 1)),
+    return HopResult(expected_rank=float(h_out @ np.arange(M + 1)),
                      targets=t,
+                     m0=m0,
                      budget_used=float(budget - remaining),
                      concave=concave,
                      h_out=h_out)

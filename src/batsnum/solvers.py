@@ -20,7 +20,7 @@ from scipy import optimize
 
 from . import rankcalc, recoding
 from .loss import empirical_loss_model, independent_loss_model
-from .netmodel import Network, Schedule, schedule_rate_matrix
+from .netmodel import Network, Schedule, max_weight_index, schedule_rate_matrix
 from .recoding import RecodingPolicy
 
 CONSTRAINT_TOL = 1e-9
@@ -147,9 +147,9 @@ class Scenario:
 @dataclass
 class DualState:
     multipliers: np.ndarray
+    step_a: float
+    step_b: float
     iteration: int = 0
-    step_a: float = 0.5
-    step_b: float = 10.0
 
     def step_size(self):
         return self.step_a / (self.step_b + self.iteration)
@@ -179,10 +179,7 @@ class Solution:
 
     def constraint_violation(self, scenario):
         """max_e (sum_i alpha_i mbar_e^i - s_e); feasible when <= ~1e-9."""
-        load = np.zeros(len(scenario.network.links))
-        for i, flow in enumerate(scenario.flows):
-            for e, mb in zip(flow.links, self.mbar[i]):
-                load[scenario.network.link_index(e)] += self.alpha[i] * mb
+        load = _load_matrix(scenario, self.mbar) @ self.alpha
         return float(np.max(load - self.rate_vector))
 
     def to_json(self):
@@ -327,30 +324,46 @@ def _exact_concave_allocation(A, R):
 # ---------------------------------------------------------------------------
 
 
-def _policy_mbar_and_rank(scenario, flow, policies):
-    """Forward pass: per-hop average packets and the destination rank dist."""
-    h = rankcalc.RankDistribution.source(scenario.M).h
-    mbars = []
+def _forward_pass(scenario, flow, policies):
+    """Per-hop rank distributions (source first, L + 1 of them), transition
+    matrices and average packets along `flow` under `policies`."""
+    hs = [rankcalc.RankDistribution.source(scenario.M).h]
+    mats, mbars = [], []
     for lid, pol in zip(flow.links, policies):
-        mbars.append(recoding.average_packets(pol, h))
-        P = rankcalc.transition_matrix(pol, scenario.loss_model(lid),
-                                       scenario.q, scenario.M)
-        h = h @ P
-    return mbars, h, float(h @ np.arange(scenario.M + 1))
+        mbars.append(recoding.average_packets(pol, hs[-1]))
+        mats.append(rankcalc.transition_matrix(pol, scenario.loss_model(lid),
+                                               scenario.q, scenario.M))
+        hs.append(hs[-1] @ mats[-1])
+    return hs, mats, mbars
+
+
+def _policy_mbar_and_rank(scenario, flow, policies):
+    """Per-hop average packets, the destination rank dist and its mean."""
+    hs, _, mbars = _forward_pass(scenario, flow, policies)
+    return mbars, hs[-1], float(hs[-1] @ np.arange(scenario.M + 1))
 
 
 def _load_matrix(scenario, mbar_per_flow):
-    E = len(scenario.network.links)
-    k = len(scenario.flows)
-    A = np.zeros((E, k))
+    """(E, k) link loads: A[e, i] packets on link e per batch of flow i."""
+    A = np.zeros((len(scenario.network.links), len(scenario.flows)))
     for i, flow in enumerate(scenario.flows):
         for e, mb in zip(flow.links, mbar_per_flow[i]):
             A[scenario.network.link_index(e), i] += mb
     return A
 
 
+def _allocate(A, scheds, R):
+    """Exact allocation over the schedules' rate rows R, the link rates it
+    schedules and its nonzero time shares."""
+    alloc = _exact_concave_allocation(A, R)
+    weights = [(scheds[i], float(alloc.weights[i]))
+               for i in np.flatnonzero(alloc.weights > 1e-9)]
+    return alloc, R.T @ alloc.weights, weights
+
+
 @dataclass
 class FixedPolicyResult:
+    policies: list
     alpha: np.ndarray
     rate_vector: np.ndarray
     utilities: np.ndarray
@@ -374,16 +387,28 @@ def solve_fixed_policy(scenario, policies):
         mbar.append(mb)
         ranks.append(er)
     A = _load_matrix(scenario, mbar)
-    scheds, R = schedule_rate_matrix(scenario.network)
-    alloc = _exact_concave_allocation(A, R)
+    alloc, rate_vector, weights = _allocate(
+        A, *schedule_rate_matrix(scenario.network))
     ranks = np.array(ranks)
     utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
-    weights = [(scheds[i], float(alloc.weights[i]))
-               for i in np.flatnonzero(alloc.weights > 1e-9)]
     return FixedPolicyResult(
-        alpha=alloc.alpha, rate_vector=R.T @ alloc.weights,
+        policies=policies, alpha=alloc.alpha, rate_vector=rate_vector,
         utilities=utilities, weights=weights, duals=alloc.duals,
         expected_rank=ranks, mbar=mbar, status=alloc.status)
+
+
+def _fixed_policy_solution(mode, scenario, fixed, u_tilde, status):
+    """A Solution with unit rate scales from a fixed-policy solve."""
+    k = len(scenario.flows)
+    u_total = float(fixed.utilities.sum())
+    return Solution(
+        mode=mode, flow_ids=[f.id for f in scenario.flows], alpha=fixed.alpha,
+        eta=np.ones(k), policies=fixed.policies, mbar=fixed.mbar,
+        expected_rank=fixed.expected_rank, utilities=fixed.utilities,
+        u_total=u_total, u_tilde=u_tilde,
+        kappa=utility_ratio(u_total, u_tilde, k),
+        rate_vector=fixed.rate_vector, schedule_weights=fixed.weights,
+        status=status)
 
 
 @dataclass
@@ -403,21 +428,14 @@ def solve_up(scenario):
     Same machinery as the fixed-policy solve with unit per-hop loads and
     link rates derated by the average loss.
     """
-    E = len(scenario.network.links)
-    k = len(scenario.flows)
-    A = np.zeros((E, k))
-    for i, flow in enumerate(scenario.flows):
-        for e in flow.links:
-            A[scenario.network.link_index(e), i] = 1.0
+    A = _load_matrix(scenario, [[1.0] * len(f.links) for f in scenario.flows])
     scheds, R = schedule_rate_matrix(scenario.network)
-    R_eff = R * (1.0 - scenario.eps_vector())
-    alloc = _exact_concave_allocation(A, R_eff)
+    alloc, rate_vector, weights = _allocate(
+        A, scheds, R * (1.0 - scenario.eps_vector()))
     utilities = np.log(np.maximum(alloc.alpha, 1e-300))
-    weights = [(scheds[i], float(alloc.weights[i]))
-               for i in np.flatnonzero(alloc.weights > 1e-9)]
     return UpperBoundResult(
         u_tilde=float(utilities.sum()), utilities=utilities, f=alloc.alpha,
-        duals=alloc.duals, rate_vector=R_eff.T @ alloc.weights,
+        duals=alloc.duals, rate_vector=rate_vector,
         weights=weights, status=alloc.status)
 
 
@@ -533,32 +551,16 @@ def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None,
 # nonadaptive solver
 
 
-def _recover_candidate(scenario, key, R):
-    policies = [[RecodingPolicy.nonadaptive(mm) for mm in key[i]]
-                for i in range(len(scenario.flows))]
-    mbar, ranks = [], []
-    for flow, pols in zip(scenario.flows, policies):
-        mb, _, er = _policy_mbar_and_rank(scenario, flow, pols)
-        mbar.append(mb)
-        ranks.append(er)
-    A = _load_matrix(scenario, mbar)
-    alloc = _exact_concave_allocation(A, R)
-    ranks = np.array(ranks)
-    utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
-    return {"key": key, "alloc": alloc, "ranks": ranks, "utilities": utilities,
-            "mbar": mbar, "policies": policies}
+def _shared_masks(searches, n_links):
+    """Per flow, which of its hops also carry another flow."""
+    count = np.bincount(np.concatenate([ctx.idx for ctx in searches]),
+                        minlength=n_links)
+    return [count[ctx.idx] >= 2 for ctx in searches]
 
 
-def _groupwise_moves(scenario, key, caps):
+def _groupwise_moves(key, caps, shared):
     """Candidate recoding vectors: +-1 on shared/private link groups."""
-    count = np.zeros(len(scenario.network.links), dtype=int)
-    for flow in scenario.flows:
-        for e in flow.links:
-            count[scenario.network.link_index(e)] += 1
-    shared = [np.array([count[scenario.network.link_index(e)] >= 2
-                        for e in flow.links])
-              for flow in scenario.flows]
-    k = len(scenario.flows)
+    k = len(key)
     deltas = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
     out = []
     for i in range(k):
@@ -577,27 +579,18 @@ def _groupwise_moves(scenario, key, caps):
     return out
 
 
-def _symmetrized_seed(scenario, key, caps):
-    count = np.zeros(len(scenario.network.links), dtype=int)
-    for flow in scenario.flows:
-        for e in flow.links:
-            count[scenario.network.link_index(e)] += 1
-    sh_vals, pr_vals = [], []
-    for i, flow in enumerate(scenario.flows):
-        for j, e in enumerate(flow.links):
-            (sh_vals if count[scenario.network.link_index(e)] >= 2
-             else pr_vals).append(key[i][j])
+def _symmetrized_seed(key, caps, shared):
+    """Every shared hop at the mean shared count, every private hop at the
+    mean private count, clipped to the caps."""
+    sh_vals = [m for mv, sh in zip(key, shared) for m, s in zip(mv, sh) if s]
+    pr_vals = [m for mv, sh in zip(key, shared) for m, s in zip(mv, sh) if not s]
     msh = int(round(np.mean(sh_vals))) if sh_vals else 0
     mpr = int(round(np.mean(pr_vals))) if pr_vals else 0
-    out = []
-    for i, flow in enumerate(scenario.flows):
-        mv = [msh if count[scenario.network.link_index(e)] >= 2 else mpr
-              for e in flow.links]
-        out.append(tuple(int(min(v, c)) for v, c in zip(mv, caps[i])))
-    return tuple(out)
+    return tuple(tuple(int(min(msh if s else mpr, c)) for s, c in zip(sh, cap))
+                 for sh, cap in zip(shared, caps))
 
 
-def solve_nap(scenario, config=None):
+def solve_nap(scenario):
     """Nonadaptive solver: dual loop, feasibility recovery, primal polish.
 
     The dual loop alternates per-flow local searches at the current link
@@ -607,16 +600,16 @@ def solve_nap(scenario, config=None):
     polish on the recovered utility escapes dual-gap basins, and the
     final pick prefers a fair utility split among near-best candidates.
     """
-    cfg = config or scenario.solver
-    k = len(scenario.flows)
+    cfg = scenario.solver
     up = solve_up(scenario)
     eps = scenario.eps_vector()
     lam = up.duals * (1.0 - eps)
     if not np.any(lam > 0):
         lam = 1.0 / scenario.network.capacities
-    scheds, R = schedule_rate_matrix(scenario.network)
+    R = schedule_rate_matrix(scenario.network)[1]
     searches = [scenario.flow_search(f) for f in scenario.flows]
     caps = [ctx.caps for ctx in searches]
+    shared = _shared_masks(searches, len(scenario.network.links))
     ms = [list(ctx.init_m) for ctx in searches]
     state = DualState(multipliers=lam.copy(), step_a=cfg.step_a, step_b=cfg.step_b)
     tail = []
@@ -632,8 +625,7 @@ def solve_nap(scenario, config=None):
             ms[i] = res.m
             alpha_i = res.alpha if math.isfinite(res.alpha) else 0.0
             load[searches[i].idx] += alpha_i * np.array(ms[i])
-        vals = R @ state.multipliers
-        si = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
+        si = max_weight_index(R, state.multipliers)
         prev = state.multipliers.copy()
         state.update(load - R[si])
         drift = float(np.max(np.abs(state.multipliers - prev)))
@@ -654,59 +646,44 @@ def solve_nap(scenario, config=None):
     def evaluate(kk):
         # a flow whose counts are all zero has no load and utility -inf
         if kk not in pool and all(any(mv) for mv in kk):
-            pool[kk] = _recover_candidate(scenario, kk, R)
+            pool[kk] = solve_fixed_policy(
+                scenario, [[RecodingPolicy.nonadaptive(m) for m in mv]
+                           for mv in kk])
         return pool.get(kk)
+
+    def total(kk):
+        return float(pool[kk].utilities.sum())
+
+    def spread(kk):
+        return pool[kk].utilities.max() - pool[kk].utilities.min()
 
     for kk in dict.fromkeys(tail):
         evaluate(kk)
-    best_key = max(pool, key=lambda kk: float(pool[kk]["utilities"].sum()))
-    seed = _symmetrized_seed(scenario, best_key, caps)
-    evaluate(seed)
-    best_key = max(pool, key=lambda kk: float(pool[kk]["utilities"].sum()))
+    best_key = max(pool, key=total)
+    evaluate(_symmetrized_seed(best_key, caps, shared))
+    best_key = max(pool, key=total)
     for _ in range(cfg.polish_rounds):
         improved = False
-        for kk in _groupwise_moves(scenario, best_key, caps):
-            if kk == best_key:
-                continue
-            r = evaluate(kk)
-            if r is not None and (r["utilities"].sum()
-                                  > pool[best_key]["utilities"].sum() + 1e-10):
+        for kk in _groupwise_moves(best_key, caps, shared):
+            if kk != best_key and evaluate(kk) is not None and (
+                    total(kk) > total(best_key) + 1e-10):
                 best_key = kk
                 improved = True
         if not improved:
             break
     # fairness-aware pick among near-best candidates
-    best_total = float(pool[best_key]["utilities"].sum())
-    fair = [kk for kk, r in pool.items()
-            if r["utilities"].sum() >= best_total - cfg.fairness_slack
-            and (r["utilities"].max() - r["utilities"].min()
-                 <= cfg.fairness_spread)]
-    if fair and (pool[best_key]["utilities"].max()
-                 - pool[best_key]["utilities"].min() > cfg.fairness_spread):
-        best_key = max(fair, key=lambda kk: float(pool[kk]["utilities"].sum()))
+    best_total = total(best_key)
+    fair = [kk for kk in pool
+            if total(kk) >= best_total - cfg.fairness_slack
+            and spread(kk) <= cfg.fairness_spread]
+    if fair and spread(best_key) > cfg.fairness_spread:
+        best_key = max(fair, key=total)
     chosen = pool[best_key]
-    alloc = chosen["alloc"]
-    weights = [(scheds[i], float(alloc.weights[i]))
-               for i in np.flatnonzero(alloc.weights > 1e-9)]
-    u_total = float(chosen["utilities"].sum())
-    return Solution(
-        mode="nap",
-        flow_ids=[f.id for f in scenario.flows],
-        alpha=alloc.alpha,
-        eta=np.ones(k),
-        policies=chosen["policies"],
-        mbar=chosen["mbar"],
-        expected_rank=chosen["ranks"],
-        utilities=chosen["utilities"],
-        u_total=u_total,
-        u_tilde=up.u_tilde,
-        kappa=utility_ratio(u_total, up.u_tilde, k),
-        rate_vector=R.T @ alloc.weights,
-        schedule_weights=weights,
-        status={"dual_iterations": state.iteration,
-                "candidates_evaluated": len(pool),
-                "duals": [float(x) for x in alloc.duals]},
-    )
+    return _fixed_policy_solution(
+        "nap", scenario, chosen, up.u_tilde,
+        {"dual_iterations": state.iteration,
+         "candidates_evaluated": len(pool),
+         "duals": [float(x) for x in chosen.duals]})
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +701,7 @@ def solve_single_flow_no_collision(scenario, flow, c):
     arange = np.arange(scenario.M + 1, dtype=float)
     best_m, best_val = None, -np.inf
     for m in range(1, int(caps.min()) + 1):
-        h = np.zeros(scenario.M + 1)
-        h[scenario.M] = 1.0
+        h = rankcalc.RankDistribution.source(scenario.M).h
         for W in W_list:
             h = h @ W[m]
         val = c * float(h @ arange) / m
@@ -737,8 +713,7 @@ def solve_single_flow_no_collision(scenario, flow, c):
 def solve_single_flow_all_collision(scenario, flow, c):
     """One link at a time: maximize c E[h] / sum_e m_e via joint local search."""
     lam = np.zeros(len(scenario.network.links))
-    for e in flow.links:
-        lam[scenario.network.link_index(e)] = 1.0
+    lam[scenario.flow_search(flow).idx] = 1.0
     res = flow_subproblem_local_search(scenario, flow, lam)
     total = sum(res.m)
     return c / total, res.m, c * res.objective
@@ -748,28 +723,26 @@ def solve_single_flow_all_collision(scenario, flow, c):
 # two-step adaptive solver
 
 
-def _flow_two_step(scenario, flow, m_vec, alpha, cfg):
+def _flow_two_step(scenario, flow, m_vec, alpha):
     """Scan the batch-rate scale eta; per-hop budget m_e/eta greedily realloc'd."""
+    cfg = scenario.solver
     models = [scenario.loss_model(e) for e in flow.links]
     caps = scenario.flow_caps(flow)
     arange = np.arange(scenario.M + 1, dtype=float)
+    source = rankcalc.RankDistribution.source(scenario.M).h
 
     def realloc(eta):
-        h = np.zeros(scenario.M + 1)
-        h[scenario.M] = 1.0
-        pols, mbars = [], []
+        h, hops = source, []
         for (model, me, cap) in zip(models, m_vec, caps):
-            hop = recoding.optimize_hop(h, model, me / eta, scenario.q,
-                                        scenario.M, int(cap))
-            pols.append(hop.policy)
-            mbars.append(hop.budget_used)
-            h = hop.h_out
-        return float(h @ arange), pols, mbars
+            hops.append(recoding.optimize_hop(h, model, me / eta, scenario.q,
+                                              scenario.M, int(cap)))
+            h = hops[-1].h_out
+        return float(h @ arange), hops
 
     grid = np.arange(cfg.eta_start, cfg.eta_stop + cfg.eta_step / 2, cfg.eta_step)
     best_eta, best_val = 1.0, -np.inf
     for eta in grid:
-        rank, _, _ = realloc(eta)
+        rank, _ = realloc(eta)
         val = eta * alpha * rank
         if val > best_val:
             best_eta, best_val = float(eta), val
@@ -789,28 +762,28 @@ def _flow_two_step(scenario, flow, m_vec, alpha, cfg):
             x1 = hi - phi * (hi - lo)
             f1 = f(x1)
     eta_mid = (lo + hi) / 2
-    rank_mid, pols_mid, mbar_mid = realloc(eta_mid)
+    rank_mid, hops = realloc(eta_mid)
     if eta_mid * alpha * rank_mid < best_val:
         eta_mid = best_eta
-        rank_mid, pols_mid, mbar_mid = realloc(best_eta)
-    return eta_mid, rank_mid, pols_mid, mbar_mid
+        rank_mid, hops = realloc(best_eta)
+    return (eta_mid, rank_mid, [hop.policy for hop in hops],
+            [hop.budget_used for hop in hops])
 
 
-def two_step_solve(scenario, config=None, nap_solution=None):
+def two_step_solve(scenario, nap_solution=None):
     """Adaptive solver: nonadaptive first, then per-flow rank reallocation.
 
     Step two never increases any link's average load (the per-hop budget
     is the nonadaptive count divided by the rate scale), so the step-one
     schedule stays feasible.
     """
-    cfg = config or scenario.solver
-    base = nap_solution if nap_solution is not None else solve_nap(scenario, cfg)
+    base = nap_solution if nap_solution is not None else solve_nap(scenario)
     k = len(scenario.flows)
     etas, alphas, ranks, utils, policies, mbars = [], [], [], [], [], []
     for i, flow in enumerate(scenario.flows):
         m_vec = [int(round(mb)) for mb in base.mbar[i]]
         eta, rank, pols, mbar = _flow_two_step(scenario, flow, m_vec,
-                                               float(base.alpha[i]), cfg)
+                                               float(base.alpha[i]))
         etas.append(eta)
         alphas.append(eta * float(base.alpha[i]))
         ranks.append(rank)
@@ -853,16 +826,9 @@ def _ratio_gradients(scenario, flow, policies, lam):
     M, q = scenario.M, scenario.q
     L = len(flow.links)
     models = [scenario.loss_model(e) for e in flow.links]
-    mats = [rankcalc.transition_matrix(pol, models[l], q, M)
-            for l, pol in enumerate(policies)]
-    h0 = rankcalc.RankDistribution.source(M).h
-    hs = [h0]
-    for P in mats:
-        hs.append(hs[-1] @ P)
-    lam_path = np.array([lam[scenario.network.link_index(e)]
-                         for e in flow.links])
-    mbar = [recoding.average_packets(pol, hs[l])
-            for l, pol in enumerate(policies)]
+    hs, mats, mbar = _forward_pass(scenario, flow, policies)
+    h0 = hs[0]
+    lam_path = lam[scenario.flow_search(flow).idx]
     E_val = float(hs[-1] @ np.arange(M + 1))
     D_val = float(lam_path @ np.array(mbar))
     w_vecs = [np.array([sum(m * p for m, p in pol.support(r))
@@ -881,7 +847,7 @@ def _ratio_gradients(scenario, flow, policies, lam):
     return grads, mbar, E_val, D_val
 
 
-def primal_dual_adaptive(scenario, init_solution=None, config=None):
+def primal_dual_adaptive(scenario, init_solution=None):
     """Projected-gradient ascent on the recoding matrices.
 
     Initialized from the two-step solution; each iteration lifts every
@@ -891,9 +857,8 @@ def primal_dual_adaptive(scenario, init_solution=None, config=None):
     feasibility; if the result is worse than the initialization, the
     initialization is returned (status records the fallback).
     """
-    cfg = config or scenario.solver
-    base = init_solution if init_solution is not None else two_step_solve(scenario, cfg)
-    k = len(scenario.flows)
+    cfg = scenario.solver
+    base = init_solution if init_solution is not None else two_step_solve(scenario)
     policies = []
     for i, flow in enumerate(scenario.flows):
         pols = []
@@ -910,49 +875,26 @@ def primal_dual_adaptive(scenario, init_solution=None, config=None):
                    dtype=float)
     if lam.shape != (len(scenario.network.links),):
         lam = 1.0 / scenario.network.capacities
-    scheds, R = schedule_rate_matrix(scenario.network)
+    R = schedule_rate_matrix(scenario.network)[1]
     state = DualState(multipliers=lam, step_a=cfg.step_a, step_b=cfg.step_b)
     for t in range(1, cfg.pd_steps + 1):
         beta = cfg.pd_step_a / (cfg.pd_step_b + t)
         load = np.zeros(len(scenario.network.links))
         for i, flow in enumerate(scenario.flows):
-            grads, mbar, E_val, D_val = _ratio_gradients(
-                scenario, flow, policies[i], state.multipliers)
-            new_pols = []
-            for l, pol in enumerate(policies[i]):
-                lifted = pol.p + beta * grads[l]
-                new_pols.append(RecodingPolicy.adaptive(
-                    recoding.project_stochastic(lifted)))
-            policies[i] = new_pols
-            mbar = _policy_mbar_and_rank(scenario, flow, new_pols)[0]
-            alpha_i = 1.0 / max(float(
-                np.array([state.multipliers[scenario.network.link_index(e)]
-                          for e in flow.links]) @ np.array(mbar)), 1e-12)
-            for e, mb in zip(flow.links, mbar):
-                load[scenario.network.link_index(e)] += alpha_i * mb
-        vals = R @ state.multipliers
-        si = int(np.flatnonzero(vals >= vals.max() - 1e-12)[0])
-        state.update(load - R[si])
+            idx = scenario.flow_search(flow).idx
+            grads = _ratio_gradients(scenario, flow, policies[i],
+                                     state.multipliers)[0]
+            policies[i] = [RecodingPolicy.adaptive(
+                recoding.project_stochastic(pol.p + beta * g))
+                for pol, g in zip(policies[i], grads)]
+            mbar = np.array(_forward_pass(scenario, flow, policies[i])[2])
+            alpha_i = 1.0 / max(float(state.multipliers[idx] @ mbar), 1e-12)
+            load[idx] += alpha_i * mbar
+        state.update(load - R[max_weight_index(R, state.multipliers)])
     fixed = solve_fixed_policy(scenario, policies)
-    u_total = float(fixed.utilities.sum())
-    reverted = u_total < base.u_total
-    if reverted:
-        sol = replace(base, mode="pd",
-                      status={**base.status, "reverted_to_init": True})
-        return sol
-    return Solution(
-        mode="pd",
-        flow_ids=[f.id for f in scenario.flows],
-        alpha=fixed.alpha,
-        eta=np.ones(k),
-        policies=policies,
-        mbar=fixed.mbar,
-        expected_rank=fixed.expected_rank,
-        utilities=fixed.utilities,
-        u_total=u_total,
-        u_tilde=base.u_tilde,
-        kappa=utility_ratio(u_total, base.u_tilde, k),
-        rate_vector=fixed.rate_vector,
-        schedule_weights=fixed.weights,
-        status={"reverted_to_init": False, "pd_steps": cfg.pd_steps},
-    )
+    if fixed.utilities.sum() < base.u_total:
+        return replace(base, mode="pd",
+                       status={**base.status, "reverted_to_init": True})
+    return _fixed_policy_solution(
+        "pd", scenario, fixed, base.u_tilde,
+        {"reverted_to_init": False, "pd_steps": cfg.pd_steps})

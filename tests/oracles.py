@@ -268,9 +268,9 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
     policy = expand_almost_deterministic(AlmostDeterministicSpec(t=t), m0)
     P = rankcalc.transition_matrix(policy, model, q, M)
     h_out = h @ P
-    return HopResult(policy=policy,
-                     expected_rank=float(h_out @ np.arange(M + 1)),
+    return HopResult(expected_rank=float(h_out @ np.arange(M + 1)),
                      targets=t,
+                     m0=m0,
                      budget_used=float(budget - remaining),
                      concave=concave,
                      h_out=h_out)

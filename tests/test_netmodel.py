@@ -77,6 +77,24 @@ def test_max_weight_schedule():
     assert val == 0.0 and s.active == (0,) * 8
 
 
+def test_max_weight_index_relative_tie():
+    # e1 and e2 conflict, so the schedules are (0,0) < (0,1) < (1,0)
+    net = line_network(2)
+    scheds, rates = netmodel.schedule_rate_matrix(net)
+    assert [s.active for s in scheds] == [(0, 0), (0, 1), (1, 0)]
+    # (1,0) is larger by 1.5e-12 near 2: more than an absolute 1e-12 but
+    # less than 1e-12 * |best|, so the lexicographically first schedule wins
+    w = np.array([2.0 + 1.5e-12, 2.0])
+    vals = rates @ w
+    assert int(np.argmax(vals)) == 2
+    assert vals[2] - vals[1] > 1e-12
+    assert netmodel.max_weight_index(rates, w) == 1
+    assert max_weight_schedule(net, w)[0].active == (0, 1)
+    # beyond the relative tolerance the larger value wins
+    w = np.array([2.0 + 3e-12, 2.0])
+    assert netmodel.max_weight_index(rates, w) == 2
+
+
 def test_max_weight_equals_enumeration_max():
     net = line_network(8, caps=[1, 2, 1, 0.5, 1, 1, 2, 1])
     rng = np.random.default_rng(3)
