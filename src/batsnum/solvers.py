@@ -816,17 +816,18 @@ def two_step_solve(scenario, nap_solution=None):
 # projected-gradient adaptive solver
 
 
-def _ratio_gradients(scenario, flow, policies, lam):
+def _ratio_gradients(scenario, flow, policies, lam, fwd=None):
     """Per-hop gradients of E[h] / sum_e lam_e mbar_e w.r.t. each policy.
 
     The denominator depends on upstream policies through the rank
     distributions, so the quotient rule needs chain terms for every
     downstream hop's average count, not only the direct m * h(r) part.
+    `fwd` is the policies' `_forward_pass`, if the caller already has it.
     """
     M, q = scenario.M, scenario.q
     L = len(flow.links)
     models = [scenario.loss_model(e) for e in flow.links]
-    hs, mats, mbar = _forward_pass(scenario, flow, policies)
+    hs, mats, mbar = fwd or _forward_pass(scenario, flow, policies)
     h0 = hs[0]
     lam_path = lam[scenario.flow_search(flow).idx]
     E_val = float(hs[-1] @ np.arange(M + 1))
@@ -877,17 +878,21 @@ def primal_dual_adaptive(scenario, init_solution=None):
         lam = 1.0 / scenario.network.capacities
     R = schedule_rate_matrix(scenario.network)[1]
     state = DualState(multipliers=lam, step_a=cfg.step_a, step_b=cfg.step_b)
+    # each policy set's forward pass gives its m-bar, then its gradients
+    passes = [_forward_pass(scenario, flow, pols)
+              for flow, pols in zip(scenario.flows, policies)]
     for t in range(1, cfg.pd_steps + 1):
         beta = cfg.pd_step_a / (cfg.pd_step_b + t)
         load = np.zeros(len(scenario.network.links))
         for i, flow in enumerate(scenario.flows):
             idx = scenario.flow_search(flow).idx
             grads = _ratio_gradients(scenario, flow, policies[i],
-                                     state.multipliers)[0]
+                                     state.multipliers, passes[i])[0]
             policies[i] = [RecodingPolicy.adaptive(
                 recoding.project_stochastic(pol.p + beta * g))
                 for pol, g in zip(policies[i], grads)]
-            mbar = np.array(_forward_pass(scenario, flow, policies[i])[2])
+            passes[i] = _forward_pass(scenario, flow, policies[i])
+            mbar = np.array(passes[i][2])
             alpha_i = 1.0 / max(float(state.multipliers[idx] @ mbar), 1e-12)
             load[idx] += alpha_i * mbar
         state.update(load - R[max_weight_index(R, state.multipliers)])
