@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from . import rankcalc, recoding
 from .loss import empirical_loss_model, independent_loss_model
@@ -46,7 +46,7 @@ class SolverConfig:
     step_b: float = 10.0
     multiplier_tol: float = 1e-5
     stability_window: int = 500
-    tail_window: int = 100
+    tail_window: int = 100    # unread: NAP evaluates every visited count vector
     polish_rounds: int = 40
     fairness_spread: float = 0.05
     fairness_slack: float = 0.02
@@ -151,13 +151,10 @@ class DualState:
     step_b: float
     iteration: int = 0
 
-    def step_size(self):
-        return self.step_a / (self.step_b + self.iteration)
-
     def update(self, violation):
         self.iteration += 1
-        self.multipliers = np.maximum(
-            0.0, self.multipliers + self.step_size() * violation)
+        step = self.step_a / (self.step_b + self.iteration)
+        self.multipliers = np.maximum(0.0, self.multipliers + step * violation)
 
 
 @dataclass
@@ -253,72 +250,108 @@ class ConcaveAllocation:
     weights: np.ndarray
     duals: np.ndarray
     u_total: float
-    status: dict
+    status: dict                      # certificate: gap, max_violation, iterations
+
+
+ALLOCATION_MAX_ITERS = 100
+ALLOCATION_GAP_TOL = 1e-10
+
+
+def _allocation_duals(A, R):
+    """Mehrotra predictor-corrector on min -sum_i log(a_i . lam) s.t.
+    G lam <= h, G = [R; -I], h = [1; 0]; returns lam and the iterations.
+
+    Newton steps solve the augmented KKT system [[H, G^T], [G, -S/Z]],
+    not its E x E normal equations, which lose definiteness when the
+    optimum is a face with several schedule rows active. The objective is
+    not quadratic, so steps backtrack on the KKT residual norm.
+    """
+    E, n = A.shape[0], R.shape[0] + A.shape[0]
+    G = np.vstack([R, -np.eye(E)])
+    h = np.r_[np.ones(R.shape[0]), np.zeros(E)]
+    lam = np.full(E, 0.5 / R.sum(axis=1).max())  # strictly feasible start
+    x = np.r_[lam, h - G @ lam, np.ones(n)]  # lam, slacks s, multipliers z
+    K = np.block([[np.zeros((E, E)), G.T], [G, np.zeros((n, n))]])
+
+    def residuals(x, target=0.0):
+        lam, s, z = x[:E], x[E:E + n], x[E + n:]
+        d = A.T @ lam
+        if d.min() <= 0:
+            return d, np.full(E + 2 * n, np.inf)
+        return d, np.r_[G.T @ z - A @ (1.0 / d), G @ lam + s - h, s * z - target]
+
+    def to_boundary(dx):  # largest step in (0, 1] keeping s, z >= 0
+        neg = dx[E:] < 0
+        return float(np.min(-x[E:][neg] / dx[E:][neg], initial=1.0))
+
+    for it in range(1, ALLOCATION_MAX_ITERS + 1):
+        d, r = residuals(x)
+        s, z = x[E:E + n], x[E + n:]
+        if s @ z <= 1e-13 and np.max(np.abs(r[:E] * x[:E])) <= 1e-13:
+            return x[:E], it
+        K[:E, :E] = (A / d**2) @ A.T
+        K[E:, E:].flat[::n + 1] = -s / z
+        lu = linalg.lu_factor(K, check_finite=False)
+
+        def direction(rc):
+            y = linalg.lu_solve(lu, np.r_[-r[:E], rc / z - r[E:E + n]],
+                                check_finite=False)
+            return np.r_[y[:E], -(rc + s * y[E:]) / z, y[E:]]
+
+        dx = direction(s * z)
+        a, ds, dz = to_boundary(dx), dx[E:E + n], dx[E + n:]
+        # Mehrotra's centering: sigma * mu = mu_affine^3 / mu^2
+        sigma_mu = ((s + a * ds) @ (z + a * dz)) ** 3 / (n * (s @ z) ** 2)
+        dx = direction(s * z + ds * dz - sigma_mu)
+        a, merit = 0.99 * to_boundary(dx), np.sum(residuals(x, sigma_mu)[1] ** 2)
+        while a > 1e-10 and np.sum(residuals(x + a * dx, sigma_mu)[1] ** 2) > (
+                1 - 1e-4 * a) * merit:
+            a *= 0.5
+        x = x + a * dx
+    raise RuntimeError("allocation dual not solved in "
+                       f"{ALLOCATION_MAX_ITERS} interior-point iterations")
 
 
 def _exact_concave_allocation(A, R):
-    """Exact allocation via the smooth dual epigraph plus an LP ray search.
+    """Exact allocation from the interior-point duals plus an LP ray search.
 
-    Dual: minimize sum_i -log(lam . a_i) + z over lam >= 0, z >= (R lam)_S.
-    The primal direction 1/(lam . a_i) is then scaled to exact feasibility
-    by an LP over schedule weights; the log objective is first-order flat
-    in the direction at the optimum, so dual solver tolerance enters the
-    utility only at second order.
+    The primal direction 1/(lam . a_i) is scaled to exact feasibility by an
+    LP over schedule weights; the log objective is first-order flat in the
+    direction at the optimum. Any lam >= 0 bounds the optimum by
+    UB = -sum_i log(a_i . lam) - k log k + k log max_s (R lam)_s, so the
+    status carries the certified gap UB - U.
     """
     E, k = A.shape
-    S = R.shape[0]
     if np.any(A.sum(axis=0) <= 0):
         raise ValueError("every flow must place positive load on some link")
-
-    def fun(x):
-        d = A.T @ x[:E]
-        if np.any(d <= 1e-300):
-            return np.inf
-        return float(-np.sum(np.log(d)) + x[E])
-
-    def jac(x):
-        d = A.T @ x[:E]
-        g = np.zeros(E + 1)
-        g[:E] = -A @ (1.0 / d)
-        g[E] = 1.0
-        return g
-
-    def hess(x):
-        d = A.T @ x[:E]
-        H = np.zeros((E + 1, E + 1))
-        H[:E, :E] = (A / d**2) @ A.T
-        return H
-
-    C = np.hstack([R, -np.ones((S, 1))])
-    x0 = np.ones(E + 1)
-    x0[E] = float(np.max(R @ x0[:E])) + 1.0
-    res = optimize.minimize(
-        fun, x0, jac=jac, hess=hess, method="trust-constr",
-        constraints=[optimize.LinearConstraint(C, -np.inf, np.zeros(S))],
-        bounds=optimize.Bounds(np.concatenate([np.zeros(E), [-np.inf]]),
-                               np.full(E + 1, np.inf)),
-        options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 5000})
-    lam = np.maximum(res.x[:E], 0.0)
-    rho = 1.0 / np.maximum(A.T @ lam, 1e-300)
-    # scale the ray into the region: max t s.t. A(t rho) <= R^T w, sum w <= 1
-    Aub = np.zeros((E + 1, 1 + S))
-    Aub[:E, 0] = A @ rho
-    Aub[:E, 1:] = -R.T
-    Aub[E, 1:] = 1.0
-    bub = np.zeros(E + 1)
-    bub[E] = 1.0
-    cvec = np.zeros(1 + S)
-    cvec[0] = -1.0
-    lp = optimize.linprog(cvec, A_ub=Aub, b_ub=bub,
-                          bounds=[(0, None)] * (1 + S), method="highs")
+    lam, iters = _allocation_duals(A, R)
+    lam = np.maximum(lam, 0.0)
+    d = A.T @ lam
+    load = A @ (1.0 / d)
+    # scale the ray into the region: max t s.t. t load <= R^T w, sum w <= 1
+    lp = optimize.linprog(
+        np.r_[-1.0, np.zeros(len(R))],
+        A_ub=np.block([[load[:, None], -R.T], [0.0, np.ones((1, len(R)))]]),
+        b_ub=np.r_[np.zeros(E), 1.0], bounds=(0, None), method="highs")
     if not lp.success:
         raise RuntimeError(f"rate-ray LP failed: {lp.message}")
-    t, w = float(lp.x[0]), lp.x[1:]
-    alpha = t * rho
+    # HiGHS may return weights slightly below zero or summing past 1: clip
+    # and rescale them, and shorten the ray to what they carry exactly
+    w = np.maximum(lp.x[1:], 0.0)
+    w /= max(1.0, w.sum())
+    pos = load > 0
+    alpha = min(lp.x[0], float(np.min((R.T @ w)[pos] / load[pos]))) / d
+    u_total = float(np.sum(np.log(np.maximum(alpha, 1e-300))))
+    top = float(np.max(R @ lam))
+    gap = float(-np.sum(np.log(d)) - k * math.log(k) + k * math.log(top)) - u_total
+    if not gap <= ALLOCATION_GAP_TOL:
+        raise RuntimeError(f"allocation duality gap {gap:.3g} above "
+                           f"{ALLOCATION_GAP_TOL:g}")
+    violation = max(float(np.max(A @ alpha - R.T @ w)), w.sum() - 1.0, -w.min())
     return ConcaveAllocation(
-        alpha=alpha, weights=w, duals=lam,
-        u_total=float(np.sum(np.log(np.maximum(alpha, 1e-300)))),
-        status={"dual_converged": bool(res.success), "dual_iters": int(res.nit)})
+        alpha=alpha, weights=w, duals=k * lam / top, u_total=u_total,
+        status={"gap": gap, "max_violation": float(violation),
+                "iterations": iters})
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +414,16 @@ def solve_fixed_policy(scenario, policies):
     the problem is the classic concave rate/schedule allocation, solved
     exactly and recovered to a feasible (alpha, s).
     """
-    mbar, ranks = [], []
-    for flow, pols in zip(scenario.flows, policies):
-        mb, _, er = _policy_mbar_and_rank(scenario, flow, pols)
-        mbar.append(mb)
-        ranks.append(er)
-    A = _load_matrix(scenario, mbar)
+    passes = [_policy_mbar_and_rank(scenario, flow, pols)
+              for flow, pols in zip(scenario.flows, policies)]
+    mbar, ranks = [p[0] for p in passes], np.array([p[2] for p in passes])
     alloc, rate_vector, weights = _allocate(
-        A, *schedule_rate_matrix(scenario.network))
-    ranks = np.array(ranks)
+        _load_matrix(scenario, mbar), *schedule_rate_matrix(scenario.network))
     utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
     return FixedPolicyResult(
         policies=policies, alpha=alloc.alpha, rate_vector=rate_vector,
         utilities=utilities, weights=weights, duals=alloc.duals,
-        expected_rank=ranks, mbar=mbar, status=alloc.status)
+        expected_rank=ranks, mbar=mbar, status={"allocation": alloc.status})
 
 
 def _fixed_policy_solution(mode, scenario, fixed, u_tilde, status):
@@ -408,7 +437,7 @@ def _fixed_policy_solution(mode, scenario, fixed, u_tilde, status):
         u_total=u_total, u_tilde=u_tilde,
         kappa=utility_ratio(u_total, u_tilde, k),
         rate_vector=fixed.rate_vector, schedule_weights=fixed.weights,
-        status=status)
+        status={**status, **fixed.status})
 
 
 @dataclass
@@ -436,7 +465,7 @@ def solve_up(scenario):
     return UpperBoundResult(
         u_tilde=float(utilities.sum()), utilities=utilities, f=alloc.alpha,
         duals=alloc.duals, rate_vector=rate_vector,
-        weights=weights, status=alloc.status)
+        weights=weights, status={"allocation": alloc.status})
 
 
 # ---------------------------------------------------------------------------
@@ -560,23 +589,17 @@ def _shared_masks(searches, n_links):
 
 def _groupwise_moves(key, caps, shared):
     """Candidate recoding vectors: +-1 on shared/private link groups."""
-    k = len(key)
     deltas = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-    out = []
-    for i in range(k):
-        for ds, dp in deltas:
-            mv = np.clip(np.array(key[i]) + ds * shared[i] + dp * ~shared[i],
-                         0, caps[i])
-            out.append(tuple(tuple(int(x) for x in mv) if j == i else key[j]
-                             for j in range(k)))
-    for ds, dp in deltas + ((1, 1), (-1, -1)):
-        kk = []
-        for i in range(k):
-            mv = np.clip(np.array(key[i]) + ds * shared[i] + dp * ~shared[i],
-                         0, caps[i])
-            kk.append(tuple(int(x) for x in mv))
-        out.append(tuple(kk))
-    return out
+
+    def moved(i, ds, dp):
+        mv = np.array(key[i]) + ds * shared[i] + dp * ~shared[i]
+        return tuple(int(x) for x in np.clip(mv, 0, caps[i]))
+
+    k = len(key)
+    return ([tuple(moved(i, ds, dp) if j == i else key[j] for j in range(k))
+             for i in range(k) for ds, dp in deltas]
+            + [tuple(moved(i, ds, dp) for i in range(k))
+               for ds, dp in deltas + ((1, 1), (-1, -1))])
 
 
 def _symmetrized_seed(key, caps, shared):
@@ -595,8 +618,8 @@ def solve_nap(scenario):
 
     The dual loop alternates per-flow local searches at the current link
     prices, a max-weight schedule, and a projected multiplier step
-    (prices warm-started from the upper-bound duals). Distinct tail
-    iterates are recovered exactly with frozen counts; a groupwise +-1
+    (prices warm-started from the upper-bound duals). Every distinct count
+    vector the loop visits is recovered exactly; a groupwise +-1
     polish on the recovered utility escapes dual-gap basins, and the
     final pick prefers a fair utility split among near-best candidates.
     """
@@ -612,7 +635,7 @@ def solve_nap(scenario):
     shared = _shared_masks(searches, len(scenario.network.links))
     ms = [list(ctx.init_m) for ctx in searches]
     state = DualState(multipliers=lam.copy(), step_a=cfg.step_a, step_b=cfg.step_b)
-    tail = []
+    visited = {}  # every distinct joint count vector, in order of first visit
     stable = 0
     for t in range(1, cfg.dual_iters + 1):
         load = np.zeros(len(scenario.network.links))
@@ -630,15 +653,9 @@ def solve_nap(scenario):
         state.update(load - R[si])
         drift = float(np.max(np.abs(state.multipliers - prev)))
         stable = 0 if changed else stable + 1
-        if t > cfg.dual_iters - cfg.tail_window:
-            kk = tuple(tuple(mv) for mv in ms)
-            if kk not in tail:
-                tail.append(kk)
-        if stable >= cfg.stability_window and t >= 2 * cfg.stability_window:
-            tail.append(tuple(tuple(mv) for mv in ms))
-            break
-        if drift < cfg.multiplier_tol:
-            tail.append(tuple(tuple(mv) for mv in ms))
+        visited[tuple(tuple(mv) for mv in ms)] = None
+        if (stable >= cfg.stability_window and t >= 2 * cfg.stability_window
+                or drift < cfg.multiplier_tol):
             break
 
     pool = {}
@@ -657,7 +674,7 @@ def solve_nap(scenario):
     def spread(kk):
         return pool[kk].utilities.max() - pool[kk].utilities.min()
 
-    for kk in dict.fromkeys(tail):
+    for kk in visited:
         evaluate(kk)
     best_key = max(pool, key=total)
     evaluate(_symmetrized_seed(best_key, caps, shared))

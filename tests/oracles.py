@@ -1,19 +1,22 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately brute force and shares no code with the
-package paths it checks. The last two functions are test-only helpers
-that no package path reads.
+package paths it checks. `systematic_transition_matrix` and
+`expected_rank_gradient` are test-only helpers that no package path
+reads.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy import optimize
 
 from batsnum import ffmat, rankcalc
 from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.recoding import (BUDGET_TOL, AlmostDeterministicSpec, HopResult,
                               expand_almost_deterministic)
+from batsnum.solvers import ConcaveAllocation
 
 
 def gf256_mul_shift_reduce(a, b, poly=0x11B):
@@ -322,3 +325,68 @@ def expected_rank_gradient(h0, path_matrices, hop_index, policy, model, q):
     """d E[h_L] / d p(m|r) for the policy at `hop_index` (0-based)."""
     m_cols = policy.support_columns()
     return rankcalc.chain_gradient(h0, path_matrices, hop_index, model, q, m_cols)
+
+
+def trust_constr_allocation(A, R):
+    """The trust-constr allocation the interior-point solver replaced.
+
+    Dual: minimize sum_i -log(lam . a_i) + z over lam >= 0, z >= (R lam)_S.
+    The primal direction 1/(lam . a_i) is then scaled to exact feasibility
+    by an LP over schedule weights; the log objective is first-order flat
+    in the direction at the optimum, so dual solver tolerance enters the
+    utility only at second order.
+    """
+    E, k = A.shape
+    S = R.shape[0]
+    if np.any(A.sum(axis=0) <= 0):
+        raise ValueError("every flow must place positive load on some link")
+
+    def fun(x):
+        d = A.T @ x[:E]
+        if np.any(d <= 1e-300):
+            return np.inf
+        return float(-np.sum(np.log(d)) + x[E])
+
+    def jac(x):
+        d = A.T @ x[:E]
+        g = np.zeros(E + 1)
+        g[:E] = -A @ (1.0 / d)
+        g[E] = 1.0
+        return g
+
+    def hess(x):
+        d = A.T @ x[:E]
+        H = np.zeros((E + 1, E + 1))
+        H[:E, :E] = (A / d**2) @ A.T
+        return H
+
+    C = np.hstack([R, -np.ones((S, 1))])
+    x0 = np.ones(E + 1)
+    x0[E] = float(np.max(R @ x0[:E])) + 1.0
+    res = optimize.minimize(
+        fun, x0, jac=jac, hess=hess, method="trust-constr",
+        constraints=[optimize.LinearConstraint(C, -np.inf, np.zeros(S))],
+        bounds=optimize.Bounds(np.concatenate([np.zeros(E), [-np.inf]]),
+                               np.full(E + 1, np.inf)),
+        options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 5000})
+    lam = np.maximum(res.x[:E], 0.0)
+    rho = 1.0 / np.maximum(A.T @ lam, 1e-300)
+    # scale the ray into the region: max t s.t. A(t rho) <= R^T w, sum w <= 1
+    Aub = np.zeros((E + 1, 1 + S))
+    Aub[:E, 0] = A @ rho
+    Aub[:E, 1:] = -R.T
+    Aub[E, 1:] = 1.0
+    bub = np.zeros(E + 1)
+    bub[E] = 1.0
+    cvec = np.zeros(1 + S)
+    cvec[0] = -1.0
+    lp = optimize.linprog(cvec, A_ub=Aub, b_ub=bub,
+                          bounds=[(0, None)] * (1 + S), method="highs")
+    if not lp.success:
+        raise RuntimeError(f"rate-ray LP failed: {lp.message}")
+    t, w = float(lp.x[0]), lp.x[1:]
+    alpha = t * rho
+    return ConcaveAllocation(
+        alpha=alpha, weights=w, duals=lam,
+        u_total=float(np.sum(np.log(np.maximum(alpha, 1e-300)))),
+        status={"dual_converged": bool(res.success), "dual_iters": int(res.nit)})

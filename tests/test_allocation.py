@@ -1,0 +1,149 @@
+"""The interior-point allocation and its certificate.
+
+Every allocation must report a duality gap in [-1e-12, 1e-10], weights
+that are nonnegative and carry the rates exactly (max violation at most
+1e-12), and a utility no lower than the trust-constr oracle's wherever
+the oracle's allocation is feasible to 1e-12. Nonnegative oracle weights
+are not enough: HiGHS answers within its feasibility tolerance, and on
+random instances the oracle's rates overran a link row by up to 9e-8,
+claiming up to 1e-7 more utility than the certified optimum.
+"""
+
+import numpy as np
+import pytest
+from oracles import trust_constr_allocation
+from scipy import optimize
+from test_solvers import make_line_scenario
+
+from batsnum import cli, solvers
+from batsnum.netmodel import schedule_rate_matrix
+
+CASES = [(case, family) for family in ("iid", "ge") for case in range(1, 12)]
+
+
+def check_allocation(A, R):
+    alloc = solvers._exact_concave_allocation(A, R)
+    cert = alloc.status
+    assert -1e-12 <= cert["gap"] <= 1e-10
+    assert cert["max_violation"] <= 1e-12
+    w = alloc.weights
+    assert np.all(w >= 0)
+    # the certificate's violation, recomputed from the returned allocation
+    assert np.max(A @ alloc.alpha - R.T @ w) <= 1e-12
+    assert w.sum() <= 1 + 1e-12
+    ref = trust_constr_allocation(A, R)
+    feasible = max(np.max(A @ ref.alpha - R.T @ ref.weights),
+                   ref.weights.sum() - 1, np.max(-ref.weights)) <= 1e-12
+    if feasible:
+        assert alloc.u_total >= ref.u_total - 1e-9
+    return alloc, feasible
+
+
+def recorded_allocations(monkeypatch, solve, scenario):
+    """Every (A, R) that `solve(scenario)` passes to the allocation, and
+    the solve's result."""
+    seen = []
+    inner = solvers._exact_concave_allocation
+
+    def record(A, R):
+        seen.append((A.copy(), R.copy()))
+        return inner(A, R)
+
+    monkeypatch.setattr(solvers, "_exact_concave_allocation", record)
+    result = solve(scenario)
+    monkeypatch.undo()
+    return seen, result
+
+
+@pytest.mark.parametrize("case,family", CASES)
+def test_upper_bound_allocation_of_every_preset(solved, case, family):
+    # the cut-set duals of the presets are faces: several schedules tie
+    sc = solved.scenario(case, family)
+    A = solvers._load_matrix(sc, [[1.0] * len(f.links) for f in sc.flows])
+    R = schedule_rate_matrix(sc.network)[1] * (1.0 - sc.eps_vector())
+    alloc, _ = check_allocation(A, R)
+    assert solved.up(case, family).status["allocation"] == alloc.status
+
+
+@pytest.mark.parametrize("family", ["iid", "ge"])
+def test_case1_nap_candidates(solved, monkeypatch, family):
+    seen, _ = recorded_allocations(monkeypatch, solvers.solve_nap,
+                                   solved.scenario(1, family))
+    assert len(seen) > 40
+    for A, R in seen:
+        check_allocation(A, R)
+
+
+def test_line_with_a_flow_on_one_shared_link(monkeypatch):
+    sc = make_line_scenario(2, flows=[("e1", "e2"), ("e2",)], dual_iters=300)
+    seen, sol = recorded_allocations(monkeypatch, solvers.solve_nap, sc)
+    for A, R in seen:
+        check_allocation(A, R)
+    assert sol.status["allocation"]["gap"] <= 1e-10
+
+
+def random_instance(rng):
+    E, k, S = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 12))
+    A = rng.random((E, k)) * (rng.random((E, k)) < 0.6) * 30
+    for i in np.flatnonzero(A.sum(axis=0) == 0):
+        A[rng.integers(E), i] = 10.0
+    R = (rng.random((S, E)) < 0.4) * rng.uniform(0.5, 2.0, (S, E))
+    for e in np.flatnonzero(R.sum(axis=0) == 0):
+        R[rng.integers(S), e] = 1.0
+    return A, R
+
+
+def test_random_instances():
+    rng = np.random.default_rng(20261018)
+    compared = sum(check_allocation(*random_instance(rng))[1]
+                   for _ in range(200))
+    assert compared >= 150
+
+
+def test_backtracking_instance():
+    # two links, one schedule serving both and the idle schedule (which
+    # `schedule_rate_matrix` also lists): full Mehrotra steps cycle here
+    # without converging, so the step must backtrack
+    A = np.array([[2.078, 0.0, 28.848], [23.409, 10.0, 29.327]])
+    R = np.array([[0.959, 1.001], [0.0, 0.0]])
+    check_allocation(A, R)
+
+
+@pytest.mark.parametrize("perturb", ["negative_weight", "long_ray", "heavy_weights"])
+def test_inexact_lp_answer_is_made_exact(monkeypatch, perturb):
+    # HiGHS answers within its feasibility tolerance: a weight of -6e-8, a
+    # ray a little too long, or weights summing past 1
+    sc = make_line_scenario(3, flows=[("e1", "e2", "e3"), ("e2", "e3")])
+    A = solvers._load_matrix(sc, [[20.0] * 3, [20.0] * 2])
+    R = schedule_rate_matrix(sc.network)[1]
+    inner = optimize.linprog
+
+    def loose(*args, **kw):
+        res = inner(*args, **kw)
+        if perturb == "negative_weight":
+            res.x[1 + int(np.argmin(res.x[1:]))] = -5.7e-8
+        elif perturb == "long_ray":
+            res.x[0] *= 1 + 1e-7
+        else:
+            res.x[1:] *= 1 + 1e-7
+        return res
+
+    monkeypatch.setattr(optimize, "linprog", loose)
+    alloc = solvers._exact_concave_allocation(A, R)
+    assert np.all(alloc.weights >= 0)
+    assert alloc.status["max_violation"] <= 1e-12
+    assert np.max(A @ alloc.alpha - R.T @ alloc.weights) <= 1e-12
+    assert alloc.weights.sum() <= 1.0
+    assert -1e-12 <= alloc.status["gap"] <= 1e-10
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(solvers, "ALLOCATION_MAX_ITERS", 1)
+    with pytest.raises(RuntimeError):
+        solvers.solve_up(make_line_scenario(2))
+
+
+def test_cli_solve_exits_3_at_iteration_cap(monkeypatch, tmp_path):
+    monkeypatch.setattr(solvers, "ALLOCATION_MAX_ITERS", 1)
+    assert cli.main(["solve", "--case", "1", "--mode", "up",
+                     "--outdir", str(tmp_path)]) == 3
