@@ -268,17 +268,19 @@ def _allocation_duals(A, R):
     """
     E, n = A.shape[0], R.shape[0] + A.shape[0]
     G = np.vstack([R, -np.eye(E)])
-    h = np.r_[np.ones(R.shape[0]), np.zeros(E)]
+    h = np.concatenate([np.ones(R.shape[0]), np.zeros(E)])
     lam = np.full(E, 0.5 / R.sum(axis=1).max())  # strictly feasible start
-    x = np.r_[lam, h - G @ lam, np.ones(n)]  # lam, slacks s, multipliers z
+    x = np.concatenate([lam, h - G @ lam, np.ones(n)])  # lam, slacks s, duals z
     K = np.block([[np.zeros((E, E)), G.T], [G, np.zeros((n, n))]])
+    getrs, = linalg.lapack.get_lapack_funcs(("getrs",), (K,))
 
     def residuals(x, target=0.0):
         lam, s, z = x[:E], x[E:E + n], x[E + n:]
         d = A.T @ lam
         if d.min() <= 0:
             return d, np.full(E + 2 * n, np.inf)
-        return d, np.r_[G.T @ z - A @ (1.0 / d), G @ lam + s - h, s * z - target]
+        return d, np.concatenate([G.T @ z - A @ (1.0 / d), G @ lam + s - h,
+                                   s * z - target])
 
     def to_boundary(dx):  # largest step in (0, 1] keeping s, z >= 0
         neg = dx[E:] < 0
@@ -291,12 +293,11 @@ def _allocation_duals(A, R):
             return x[:E], it
         K[:E, :E] = (A / d**2) @ A.T
         K[E:, E:].flat[::n + 1] = -s / z
-        lu = linalg.lu_factor(K, check_finite=False)
+        lu, piv = linalg.lu_factor(K, check_finite=False)
 
-        def direction(rc):
-            y = linalg.lu_solve(lu, np.r_[-r[:E], rc / z - r[E:E + n]],
-                                check_finite=False)
-            return np.r_[y[:E], -(rc + s * y[E:]) / z, y[E:]]
+        def direction(rc):  # LAPACK's solve on the factors, as lu_solve calls it
+            y = getrs(lu, piv, np.concatenate([-r[:E], rc / z - r[E:E + n]]))[0]
+            return np.concatenate([y[:E], -(rc + s * y[E:]) / z, y[E:]])
 
         dx = direction(s * z)
         a, ds, dz = to_boundary(dx), dx[E:E + n], dx[E + n:]
@@ -330,9 +331,9 @@ def _exact_concave_allocation(A, R):
     load = A @ (1.0 / d)
     # scale the ray into the region: max t s.t. t load <= R^T w, sum w <= 1
     lp = optimize.linprog(
-        np.r_[-1.0, np.zeros(len(R))],
+        np.append(-1.0, np.zeros(len(R))),
         A_ub=np.block([[load[:, None], -R.T], [0.0, np.ones((1, len(R)))]]),
-        b_ub=np.r_[np.zeros(E), 1.0], bounds=(0, None), method="highs")
+        b_ub=np.append(np.zeros(E), 1.0), bounds=(0, None), method="highs")
     if not lp.success:
         raise RuntimeError(f"rate-ray LP failed: {lp.message}")
     # HiGHS may return weights slightly below zero or summing past 1: clip
@@ -481,8 +482,10 @@ class _FlowSearch:
     idx: np.ndarray          # the hops' positions in the network's link order
     init_m: list             # default starting counts
     pick: np.ndarray         # (3^L, L) flat positions in the L x 3 option table
-    # tuple(m) -> read-only expected destination ranks of m's 3^L candidates
-    ranks: dict = field(default_factory=dict)
+    # tuple(m) -> read-only (ranks, loads) of m's 3^L neighbours: expected
+    # destination ranks and (3^L, L) per-hop counts in the narrowest
+    # unsigned dtype holding the caps (float64 would cost 8x the memory)
+    memo: dict = field(default_factory=dict)
 
 
 _STEPS = np.array([-1, 0, 1])
@@ -516,28 +519,32 @@ def _neighborhood_ranks(W_list, opts, M):
 def _neighborhood_best(ctx, m, lam_path, M):
     """Best candidate in the +-1 joint neighborhood of m.
 
-    The expected ranks depend on m alone, so they are computed once per
-    distinct m and memoized on the flow's search context; only the
-    price-weighted denominators are formed per call.
+    Nothing but the prices changes between calls at the same m, so one
+    memo record per distinct m holds the candidates' expected ranks and
+    per-hop counts. Each call widens the counts to float64 (exact for
+    integers) and pays one GEMV, the division and an argmax.
     """
-    opts = np.minimum(np.maximum(np.array(m)[:, None] + _STEPS, 0),
-                      ctx.caps[:, None])
     key = tuple(m)
-    vals = ctx.ranks.get(key)
-    if vals is None:
-        vals = ctx.ranks[key] = _neighborhood_ranks(ctx.W_list, opts, M)
-    dens = opts.astype(float).take(ctx.pick) @ lam_path
-    if dens.min() > 0:
+    rec = ctx.memo.get(key)
+    if rec is None:
+        opts = np.minimum(np.maximum(np.array(m)[:, None] + _STEPS, 0),
+                          ctx.caps[:, None])
+        loads = opts.take(ctx.pick).astype(np.min_scalar_type(ctx.caps.max()))
+        loads.flags.writeable = False
+        rec = ctx.memo[key] = (_neighborhood_ranks(ctx.W_list, opts, M), loads)
+    vals, loads = rec
+    dens = loads.astype(float) @ lam_path
+    if dens[0] > 0:  # least: counts and prices are >= 0, candidate 0 lowest
         obj = vals / dens
     elif dens.max() <= 0:
         obj = vals  # free links everywhere: climb the expected rank alone
     else:
         obj = np.where(dens > 0, vals / np.where(dens > 0, dens, 1.0), -np.inf)
-    best = int(np.argmax(obj))
+    best = int(obj.argmax())
     mid = len(obj) // 2  # the all-zero move, i.e. m itself
     if obj[best] <= obj[mid] + 1e-15:
         return m, float(obj[mid])
-    return opts.take(ctx.pick[best]).tolist(), float(obj[best])
+    return loads[best].tolist(), float(obj[best])
 
 
 def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None,

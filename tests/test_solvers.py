@@ -18,7 +18,7 @@ from batsnum.solvers import (Scenario, Solution, SolverConfig,
 
 
 def make_line_scenario(n_links, eps=0.2, caps=None, flows=None, M=16,
-                       interference="two-hop", **solver_kw):
+                       interference="two-hop", m0=None, **solver_kw):
     caps = caps or [1.0] * n_links
     if np.isscalar(eps):
         eps = [eps] * n_links
@@ -37,7 +37,7 @@ def make_line_scenario(n_links, eps=0.2, caps=None, flows=None, M=16,
     flow_objs = [Flow(id=f"f{j+1}", links=fl, batch_size=M)
                  for j, fl in enumerate(flows)]
     cfg = SolverConfig(**solver_kw) if solver_kw else SolverConfig()
-    return Scenario(network=net, flows=flow_objs, M=M, solver=cfg)
+    return Scenario(network=net, flows=flow_objs, M=M, solver=cfg, m0=m0)
 
 
 def test_utility_ratio():
@@ -172,9 +172,32 @@ def test_local_search_matches_unmemoized_reference(flow_index):
             assert (res.m, res.objective, res.history,
                     res.threshold_stop) == ref
         warm = res.m
-    memo = sc.flow_search(flow).ranks
+    memo = sc.flow_search(flow).memo
     assert len(memo) > 1
-    assert not any(v.flags.writeable for v in memo.values())
+    for record in memo.values():  # expected ranks and candidate loads
+        assert len(record) == 2
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable
+                   for a in record)
+
+
+def test_local_search_counts_above_255_match_reference():
+    # caps of 300 need 16-bit loads in the memo; walks start at the caps
+    sc = make_line_scenario(3, eps=[0.1, 0.3, 0.2], m0=300)
+    flow = sc.flows[0]
+    caps = sc.flow_caps(flow)
+    assert caps.min() > 255
+    W_list = [sc.hop_tables(e) for e in flow.links]
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        lam = rng.uniform(0.0, 0.5, 3)
+        lam[rng.integers(3)] *= rng.integers(2)  # some zero prices
+        for init_m in (caps.tolist(), (caps - [0, 20, 45]).tolist()):
+            res = flow_subproblem_local_search(sc, flow, lam, init_m=init_m)
+            ref = local_search_reference(W_list, lam, caps, init_m, sc.M,
+                                         sc.solver.search_threshold)
+            assert (res.m, res.objective, res.history,
+                    res.threshold_stop) == ref
+    assert max(max(k) for k in sc.flow_search(flow).memo) > 255
 
 
 def test_cached_tables_read_only():
