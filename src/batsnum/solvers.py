@@ -799,7 +799,7 @@ def two_step_solve(scenario, nap_solution=None):
 
     Step two never increases any link's average load (the per-hop budget
     is the nonadaptive count divided by the rate scale), so the step-one
-    schedule stays feasible.
+    schedule stays feasible, and its allocation certificate is carried.
     """
     base = nap_solution if nap_solution is not None else solve_nap(scenario)
     k = len(scenario.flows)
@@ -832,7 +832,8 @@ def two_step_solve(scenario, nap_solution=None):
         status={"base_alpha": [float(a) for a in base.alpha],
                 "base_u_total": base.u_total,
                 "base_kappa": base.kappa,
-                "duals": base.status.get("duals", [])},
+                "duals": base.status.get("duals", []),
+                "allocation": base.status["allocation"]},
     )
 
 

@@ -6,7 +6,10 @@ certificate. They were recorded with the interior-point allocation and
 the NAP candidate pool drawn from every count vector the dual loop
 visits, so they freeze that arithmetic to the last bit. The earlier
 trust-constr allocation moved utilities at the 1e-8 level and is kept
-in `oracles.trust_constr_allocation`.
+in `oracles.trust_constr_allocation`. The two-step digests were
+re-recorded when two-step solutions began to carry their NAP base's
+certificate as `status["allocation"]`; without that field each document
+hashes to its earlier digest.
 
 `TRUST_CONSTR_OUTCOMES` holds, per built-in instance, the NAP counts and
 the utilities (by `repr`) that the trust-constr allocation with the
@@ -23,49 +26,49 @@ from batsnum.solvers import primal_dual_adaptive, solve_nap, two_step_solve
 # (case, loss family) -> (NAP digest, two-step digest)
 CASES = {
     (1, "iid"): ("70e5bcb9eb7158a8868ab24ba05fb035290f76ab",
-                 "a4386850a7b81e155fdc789e87dcd3e511914b36"),
+                 "00a6edeba09ce764660b0f446d687f94b8a3be31"),
     (2, "iid"): ("c2532d9fbaeab53ec9a3190eb3a9288d0c0fce0d",
-                 "a577f2680d31a507d47dc8cd8e58cd4582830db9"),
+                 "9d99bd688804f54e90ebe3c5cb9c5d21f7891c2d"),
     (3, "iid"): ("c0c18ccc6d696b37062ceb4bbefbb24aeddd6ae8",
-                 "dd4a1f17ce64bc218ed968fe5e01c9418f8e43d1"),
+                 "43062b608d910296b0d1b43a33478700ff52ca46"),
     (4, "iid"): ("f0969847669e4878fc1ddb7c57a3ed9b8c51be4f",
-                 "01d97d33faac744a22342b78cc3b22c0a0c3bf8c"),
+                 "514c88431ba258c34e14c6950a9d906baf57d080"),
     (5, "iid"): ("2590430673a3126e3b717e6b6eabff3f02808adb",
-                 "24f549442db4f9a0bcbff0094327bbe89b7c5ffa"),
+                 "992923393b35d7e7932ea4c9559dad749823a098"),
     (6, "iid"): ("c4fa059ea729bc50e20dd47e15d093858cdb3d30",
-                 "9c32b17523e87c84813780beadad3db32d242fb8"),
+                 "36001b0df1f53571437f41b04f9f9c589f86cc0d"),
     (7, "iid"): ("6c0e8d1d5da289b3af991bb11971119cdc66f550",
-                 "e1c8d441358fd4a15edc1dac5517e64a74f908eb"),
+                 "8fb3028c38dff0c5d4e77bc35c45dc869edcb916"),
     (8, "iid"): ("15fb34d82de8226af23edd9a797a843201c7eb98",
-                 "90aa8a1a56715261589692e7b77e7df8b2bf6429"),
+                 "50183a0af1e75907467ec1446a8acf3d0a26d710"),
     (9, "iid"): ("bab8d2ea17b4e5f669a1056c487a888731fdfeaf",
-                 "da59c2ff51125bf211fc663a85625cd49515be7b"),
+                 "ae948c87c23caac7c3adad955ac1b4bf96ece938"),
     (10, "iid"): ("a7e98a0599a396d66e29f93d2b534a7e5a0086e2",
-                  "cf89b3486efe2c909dbde896d65c67058df80c3e"),
+                  "48ffef93ebfc613aed0a2e15ced7167145350d61"),
     (11, "iid"): ("c838bdcf9a02a0ce3cbe2e6513cbae3f240d7964",
-                  "fff51381f95455b91a0537f08b4907e07bef2b2f"),
+                  "862312bee1863af7eb41534dbc3c24aa5543178d"),
     (1, "ge"): ("3b72052d593151fef4be3c4e768ccf4a1fa81f47",
-                "1dc3f1698a0130d378706d0f1082b6d80c743142"),
+                "8d2a0a47919811348db878f063c7e29c0aa3802f"),
     (2, "ge"): ("fd22c57aa140218d32a0b29d1f3c936cb4c92208",
-                "2519c3759e201d63961657f734b175e3bccfe9fd"),
+                "58ff814ac94d7e2dabb1d345f92dc10539b72cef"),
     (3, "ge"): ("1f01b0154c8b4885af247c4f8ac823af9ee8d112",
-                "bf664c42d7445f1a7423550eae690297c972087d"),
+                "36cbdeaaa928e75b473e586ec2ba8b86eb6c65b1"),
     (4, "ge"): ("0fc59624792437c9b3a2c160c48593faf5b6f166",
-                "862cdcd3df4e96b48f1c53a2a9dbae84f8828e0a"),
+                "2d56f64bf7ff391f5a06844e993c9126e129ed2a"),
     (5, "ge"): ("92e82c3c4b3ed7183b6e7576532fa0d46e579115",
-                "9d779161eb8b8a848020f3df39bfc85657b2197a"),
+                "20736e0fb3cfe2ba531d7564806f47223a419d7c"),
     (6, "ge"): ("06fb051d69fc24a708bc9c79a51965d4441be74d",
-                "c9b806f27aaf89d2ab459002615c4c3d5b7a9dc3"),
+                "cea42a2ee9477c6762afdbdedb46db55d2bfe8ab"),
     (7, "ge"): ("9e6e6539dbc9f1c44209d95a25cfdc7db9640fb8",
-                "d94b6cdb986a34ddb9ad4549a503eb58d009157e"),
+                "140296c1399a57b5f44eec0e6f072390a218e1d4"),
     (8, "ge"): ("66422d0bf4f80f8eea3a60e1d9d46bbbef20fba9",
-                "555238a5abfc180c9e42f783e8f66cc6fac6a8ff"),
+                "4a0450cdf2fbc911670d9c967443dc1e5790818b"),
     (9, "ge"): ("698ce5c4c9cd1887f6da24a6a5ffc43c6e07176a",
-                "d2db9e83c21194b5df73a356069c8017a47e4693"),
+                "15001e12f0f62e446c360dc0d3daacee9173035c"),
     (10, "ge"): ("b68190f6fc47ada8c2768fe36409a6cc2619ddaf",
-                 "f498758a2990199aaed7e8915f16a680c875cdf8"),
+                 "03803ba9f8d576a1762e5c26124d6cbd5ff303b7"),
     (11, "ge"): ("caaca4e0ecf6f025df170f1f808a06474d6a98f1",
-                 "4331e4cbeb715550cda114d12f592d477cfaaf5b"),
+                 "42c8a0feea73dc5fcc87b5a60ae9f1bbd3dbb293"),
 }
 
 
@@ -143,6 +146,13 @@ def test_outcomes_at_least_trust_constr(solved, case, family):
     assert cert["max_violation"] <= 1e-12
 
 
+def test_two_step_carries_nap_certificate(solved):
+    # rates and schedule weights are the NAP allocation's, so is the gap
+    nap, two = solved.nap(1, "iid"), solved.two_step(1, "iid")
+    assert two.status["allocation"] == nap.status["allocation"]
+    assert two.status["allocation"]["gap"] <= 1e-10
+
+
 def test_primal_dual_line_frozen():
     # f1 crosses e1-e3 and f2 shares e2-e3, so the polish mixes shared and
     # private hops and f1's gradients carry two downstream chain terms
@@ -154,6 +164,6 @@ def test_primal_dual_line_frozen():
     assert pd.status["reverted_to_init"] is False
     assert [digest(s) for s in (nap, two, pd)] == [
         "bd3ff74756531c5f13199ea25f4f967f607af3ac",
-        "817df75005d9f31bfe1d0c43cfaa44e7f7426d44",
+        "690664939d98997bd96b1e6aa52d1d0fdea402fc",
         "2f48177aa4e86f0c3b9c623210c3fe0e0dec37b4",
     ]
