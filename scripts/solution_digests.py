@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Solve the 22 built-in instances and write their digests as JSON.
+
+Per instance (case and loss family) the document holds the SHA-1 of the
+NAP and two-step `Solution.to_json()` (the digests frozen in
+`tests/test_solver_regression.py`), the utilities by `repr`, the NAP
+counts per flow and hop, the NAP schedule count, the candidate-pool size,
+the allocation certificate and the scheduled link rates.
+
+    python scripts/solution_digests.py --out new.json
+    python scripts/solution_digests.py --out new.json --compare old.json
+
+With `--compare` it prints, per instance, the largest |dU| of the NAP and
+two-step utilities and of U~, whether the NAP counts and pool size are
+unchanged, the schedule counts and the largest move of a link rate.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+
+from batsnum import solvers
+from batsnum.scenarios import load_scenario
+
+INSTANCES = [(case, family) for family in ("iid", "ge") for case in range(1, 12)]
+
+
+def digest(sol):
+    return hashlib.sha1(sol.to_json().encode()).hexdigest()
+
+
+def record(case, family):
+    sc = load_scenario(f"case{case}", loss_family=family)
+    nap = solvers.solve_nap(sc)
+    two = solvers.two_step_solve(sc, nap_solution=nap)
+    return {
+        "nap_sha1": digest(nap),
+        "two_step_sha1": digest(two),
+        "nap_utilities": [repr(float(u)) for u in nap.utilities],
+        "two_step_utilities": [repr(float(u)) for u in two.utilities],
+        "u_tilde": repr(nap.u_tilde),
+        "nap_counts": [[round(x) for x in mb] for mb in nap.mbar],
+        "schedules": len(nap.schedule_weights),
+        "candidates": nap.status["candidates_evaluated"],
+        "allocation": nap.status["allocation"],
+        "rate_vector": [repr(float(r)) for r in nap.rate_vector],
+    }
+
+
+def max_delta(old, new):
+    return max(abs(float(a) - float(b)) for a, b in zip(old, new))
+
+
+def compare(old, new):
+    print("| instance | max \\|dU\\| NAP | max \\|dU\\| two-step | \\|dU~\\| | "
+          "same NAP counts | same pool | schedules | max \\|d rate\\| |")
+    print("|---|---|---|---|---|---|---|---|")
+    for key, n in new.items():
+        o = old[key]
+        print(f"| {key} "
+              f"| {max_delta(o['nap_utilities'], n['nap_utilities']):.2g} "
+              f"| {max_delta(o['two_step_utilities'], n['two_step_utilities']):.2g} "
+              f"| {abs(float(o['u_tilde']) - float(n['u_tilde'])):.2g} "
+              f"| {'yes' if o['nap_counts'] == n['nap_counts'] else 'NO'} "
+              f"| {'yes' if o['candidates'] == n['candidates'] else 'NO'} "
+              f"| {o['schedules']} -> {n['schedules']} "
+              f"| {max_delta(o['rate_vector'], n['rate_vector']):.2g} |")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON document to write")
+    ap.add_argument("--compare", metavar="OLD.json",
+                    help="earlier document to print the differences against")
+    args = ap.parse_args()
+    doc = {f"{family} {case}": record(case, family)
+           for case, family in INSTANCES}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as fh:
+            compare(json.load(fh), doc)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

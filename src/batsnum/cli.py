@@ -36,43 +36,31 @@ def _load(args):
     return load_scenario(f"case{args.case}", loss_family=args.loss)
 
 
-def _solve_one(scenario, mode):
-    if mode == "up":
-        up = solvers.solve_up(scenario)
-        return None, up
-    if mode == "nap":
-        return solvers.solve_nap(scenario), None
-    if mode == "two-step":
-        return solvers.two_step_solve(scenario), None
-    if mode == "pd":
-        return solvers.primal_dual_adaptive(scenario), None
-    raise ValidationError(f"unknown mode {mode!r}")
+SOLVERS = {"up": solvers.solve_up, "nap": solvers.solve_nap,
+           "two-step": solvers.two_step_solve, "pd": solvers.primal_dual_adaptive}
 
 
 def cmd_solve(args):
     scenario = _load(args)
     t0 = time.time()
-    solution, up = _solve_one(scenario, args.mode)
+    solution = SOLVERS[args.mode](scenario)
     elapsed = time.time() - t0
-    out = _outdir(args)
-    base = f"{scenario.name}-{args.mode}"
+    base = os.path.join(_outdir(args), f"{scenario.name}-{args.mode}")
+    path = f"{base}.json"
     if args.mode == "up":
-        doc = {"mode": "up", "u_tilde": up.u_tilde,
-               "utilities": [float(u) for u in up.utilities],
-               "f": [float(x) for x in up.f]}
-        path = os.path.join(out, f"{base}.json")
+        doc = {"mode": "up", "u_tilde": solution.u_tilde,
+               "utilities": [float(u) for u in solution.utilities],
+               "f": [float(x) for x in solution.f], "status": solution.status}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
-        print(f"U_tilde = {up.u_tilde:.6f}  ({path})")
+        print(f"U_tilde = {solution.u_tilde:.6f}  ({path})")
         return 0
-    path = os.path.join(out, f"{base}.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(solution.to_json())
     report = {"scenario": scenario.name, "mode": args.mode,
               "u_total": solution.u_total, "u_tilde": solution.u_tilde,
               "kappa": solution.kappa, "wall_clock_s": elapsed}
-    with open(os.path.join(out, f"{base}-report.json"), "w",
-              encoding="utf-8") as fh:
+    with open(f"{base}-report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
     us = " ".join(f"{u:.4f}" for u in solution.utilities)
     print(f"{scenario.name} {args.mode}: U = [{us}] "

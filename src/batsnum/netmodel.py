@@ -10,7 +10,6 @@ from scipy import optimize
 from .loss import LossSpec
 
 ENUMERATION_LIMIT = 25
-DOMINATE_TOL = 1e-9
 
 
 class ValidationError(ValueError):

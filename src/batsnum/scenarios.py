@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 
-from .loss import LossSpec
+from .loss import LossSpec, ParameterError
 from .netmodel import (Flow, Link, Network, ValidationError,
                        all_collision_interference, two_hop_interference)
 from .solvers import LossModelOptions, Scenario, SolverConfig
@@ -84,18 +84,32 @@ def preset_config(name, loss_family="iid"):
     return _line_case(int(name[4:]), loss_family)
 
 
+def _number(value, path, kind=float, least=None):
+    """`value` as `kind`, at least `least`; a ValidationError names `path`."""
+    try:
+        got = kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: expected a number, got {value!r}") from None
+    if least is not None and got < least:
+        raise ValidationError(f"{path}: {got} is below {least}")
+    return got
+
+
 def _loss_spec(doc, path):
     kind = doc.get("kind")
-    if kind == "independent":
-        return LossSpec.independent(float(doc.get("epsilon", 0.0)))
-    if kind == "gilbert_elliott":
-        try:
-            return LossSpec.gilbert_elliott(
-                float(doc["s_good"]), float(doc["s_bad"]),
-                float(doc["p_gb"]), float(doc["p_bg"]))
-        except KeyError as e:
-            raise ValidationError(f"{path}: missing field {e}") from None
-    raise ValidationError(f"{path}: unknown loss kind {kind!r}")
+    if kind not in ("independent", "gilbert_elliott"):
+        raise ValidationError(f"{path}: unknown loss kind {kind!r}")
+    try:
+        if kind == "independent":
+            return LossSpec.independent(
+                _number(doc.get("epsilon", 0.0), f"{path}.epsilon"))
+        return LossSpec.gilbert_elliott(
+            *(_number(doc[k], f"{path}.{k}")
+              for k in ("s_good", "s_bad", "p_gb", "p_bg")))
+    except KeyError as e:
+        raise ValidationError(f"{path}: missing field {e}") from None
+    except ParameterError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def scenario_from_config(doc):
@@ -110,7 +124,8 @@ def scenario_from_config(doc):
             if key not in ld:
                 raise ValidationError(f"{path}: missing field {key!r}")
         links.append(Link(id=str(ld["id"]), tail=str(ld["from"]),
-                          head=str(ld["to"]), capacity=float(ld["capacity"]),
+                          head=str(ld["to"]),
+                          capacity=_number(ld["capacity"], f"{path}.capacity"),
                           loss=_loss_spec(ld["loss"], f"{path}.loss")))
     net = Network(nodes=list(doc["nodes"]), links=links)
     inter = doc.get("interference", "two-hop")
@@ -126,15 +141,17 @@ def scenario_from_config(doc):
         raise ValidationError("interference must be two-hop|all|none|mapping")
     net.__post_init__()  # re-validate with the final interference sets
     code = doc.get("code", {})
-    M = int(code.get("batch_size", 16))
+    M = _number(code.get("batch_size", 16), "code.batch_size", int, 1)
     flows = []
     for i, fd in enumerate(doc["flows"]):
         path = f"flows[{i}]"
         if "links" not in fd:
             raise ValidationError(f"{path}: missing field 'links'")
+        if fd.get("batch_size", M) != M:
+            raise ValidationError(f"{path}: batch_size {fd['batch_size']!r} "
+                                  f"differs from code.batch_size {M}")
         flow = Flow(id=str(fd.get("id", f"f{i+1}")),
-                    links=tuple(str(x) for x in fd["links"]),
-                    batch_size=int(fd.get("batch_size", M)))
+                    links=tuple(str(x) for x in fd["links"]), batch_size=M)
         try:
             flow.validate_against(net)
         except ValidationError as e:
@@ -143,21 +160,23 @@ def scenario_from_config(doc):
     seeds = doc.get("seeds", {})
     loss_doc = doc.get("loss_model", {})
     opts = LossModelOptions(
-        m_max=int(loss_doc.get("m_max", 100)),
-        samples=int(loss_doc.get("samples", 10000)),
-        seed=int(seeds.get("loss_model", 1)),
+        m_max=_number(loss_doc.get("m_max", 100), "loss_model.m_max", int, 1),
+        samples=_number(loss_doc.get("samples", 10000), "loss_model.samples",
+                        int, 1),
+        seed=_number(seeds.get("loss_model", 1), "seeds.loss_model", int),
         stationarize=bool(loss_doc.get("stationarize", True)),
     )
     solver_doc = doc.get("solver", {})
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    bad = set(solver_doc) - known
+    known = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+    bad = set(solver_doc) - set(known)
     if bad:
         raise ValidationError(f"solver: unknown fields {sorted(bad)}")
-    solver = SolverConfig(**solver_doc)
+    solver = SolverConfig(**{k: _number(v, f"solver.{k}", known[k])
+                             for k, v in solver_doc.items()})
     return Scenario(
         network=net, flows=flows,
-        q=int(code.get("field_size", 256)), M=M,
-        m0=int(code.get("m0_factor", 10)) * M,
+        q=_number(code.get("field_size", 256), "code.field_size", int, 2), M=M,
+        m0=_number(code.get("m0_factor", 10), "code.m0_factor", int, 1) * M,
         loss_options=opts, solver=solver,
         name=str(doc.get("name", "scenario")))
 

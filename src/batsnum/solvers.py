@@ -16,14 +16,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from . import rankcalc, recoding
 from .loss import empirical_loss_model, independent_loss_model
 from .netmodel import Network, Schedule, max_weight_index, schedule_rate_matrix
 from .recoding import RecodingPolicy
-
-CONSTRAINT_TOL = 1e-9
 
 # loss models keyed by their full parameterization; estimation is costly
 _GLOBAL_MODEL_CACHE: dict = {}
@@ -259,7 +257,8 @@ ALLOCATION_GAP_TOL = 1e-10
 
 def _allocation_duals(A, R):
     """Mehrotra predictor-corrector on min -sum_i log(a_i . lam) s.t.
-    G lam <= h, G = [R; -I], h = [1; 0]; returns lam and the iterations.
+    G lam <= h, G = [R; -I], h = [1; 0]; returns lam, the multipliers of
+    the S schedule rows R lam <= 1 and the iterations.
 
     Newton steps solve the augmented KKT system [[H, G^T], [G, -S/Z]],
     not its E x E normal equations, which lose definiteness when the
@@ -290,7 +289,7 @@ def _allocation_duals(A, R):
         d, r = residuals(x)
         s, z = x[E:E + n], x[E + n:]
         if s @ z <= 1e-13 and np.max(np.abs(r[:E] * x[:E])) <= 1e-13:
-            return x[:E], it
+            return x[:E], z[:R.shape[0]], it
         K[:E, :E] = (A / d**2) @ A.T
         K[E:, E:].flat[::n + 1] = -s / z
         lu, piv = linalg.lu_factor(K, check_finite=False)
@@ -314,34 +313,26 @@ def _allocation_duals(A, R):
 
 
 def _exact_concave_allocation(A, R):
-    """Exact allocation from the interior-point duals plus an LP ray search.
+    """Exact allocation from one interior-point solve of the dual.
 
-    The primal direction 1/(lam . a_i) is scaled to exact feasibility by an
-    LP over schedule weights; the log objective is first-order flat in the
-    direction at the optimum. Any lam >= 0 bounds the optimum by
-    UB = -sum_i log(a_i . lam) - k log k + k log max_s (R lam)_s, so the
-    status carries the certified gap UB - U.
+    Stationarity reads A (1/d) = R^T z_R - z_I with d = A^T lam, so the
+    weights w = z_R / sum(z_R) (positive: the multipliers stay interior)
+    carry the ray 1/d up to scale; it is shortened to fit them exactly.
+    Any lam >= 0 bounds the optimum by UB = -sum_i log(a_i . lam)
+    - k log k + k log max_s (R lam)_s; the status carries the gap UB - U.
     """
-    E, k = A.shape
+    k = A.shape[1]
     if np.any(A.sum(axis=0) <= 0):
         raise ValueError("every flow must place positive load on some link")
-    lam, iters = _allocation_duals(A, R)
+    lam, z, iters = _allocation_duals(A, R)
     lam = np.maximum(lam, 0.0)
     d = A.T @ lam
     load = A @ (1.0 / d)
-    # scale the ray into the region: max t s.t. t load <= R^T w, sum w <= 1
-    lp = optimize.linprog(
-        np.append(-1.0, np.zeros(len(R))),
-        A_ub=np.block([[load[:, None], -R.T], [0.0, np.ones((1, len(R)))]]),
-        b_ub=np.append(np.zeros(E), 1.0), bounds=(0, None), method="highs")
-    if not lp.success:
-        raise RuntimeError(f"rate-ray LP failed: {lp.message}")
-    # HiGHS may return weights slightly below zero or summing past 1: clip
-    # and rescale them, and shorten the ray to what they carry exactly
-    w = np.maximum(lp.x[1:], 0.0)
-    w /= max(1.0, w.sum())
+    w = z / z.sum()
+    while w.sum() > 1.0:  # rounding can leave the sum an ulp above 1
+        w *= 1.0 - np.finfo(float).eps
     pos = load > 0
-    alpha = min(lp.x[0], float(np.min((R.T @ w)[pos] / load[pos]))) / d
+    alpha = float(np.min((R.T @ w)[pos] / load[pos])) / d
     u_total = float(np.sum(np.log(np.maximum(alpha, 1e-300))))
     top = float(np.max(R @ lam))
     gap = float(-np.sum(np.log(d)) - k * math.log(k) + k * math.log(top)) - u_total

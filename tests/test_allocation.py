@@ -109,32 +109,29 @@ def test_backtracking_instance():
     check_allocation(A, R)
 
 
-@pytest.mark.parametrize("perturb", ["negative_weight", "long_ray", "heavy_weights"])
-def test_inexact_lp_answer_is_made_exact(monkeypatch, perturb):
-    # HiGHS answers within its feasibility tolerance: a weight of -6e-8, a
-    # ray a little too long, or weights summing past 1
-    sc = make_line_scenario(3, flows=[("e1", "e2", "e3"), ("e2", "e3")])
-    A = solvers._load_matrix(sc, [[20.0] * 3, [20.0] * 2])
-    R = schedule_rate_matrix(sc.network)[1]
-    inner = optimize.linprog
+@pytest.mark.parametrize("source", ["iid", "ge", "random"])
+def test_allocation_solves_no_lp(solved, monkeypatch, source):
+    # the schedule weights are the multipliers of R lam <= 1, so the
+    # allocation holds with every LP raising (the oracle still solves one)
+    if source == "random":
+        rng = np.random.default_rng(20261018)
+        instances = [random_instance(rng) for _ in range(200)]
+    else:
+        instances, _ = recorded_allocations(monkeypatch, solvers.solve_nap,
+                                            solved.scenario(1, source))
+    inner = solvers._exact_concave_allocation
 
-    def loose(*args, **kw):
-        res = inner(*args, **kw)
-        if perturb == "negative_weight":
-            res.x[1 + int(np.argmin(res.x[1:]))] = -5.7e-8
-        elif perturb == "long_ray":
-            res.x[0] *= 1 + 1e-7
-        else:
-            res.x[1:] *= 1 + 1e-7
-        return res
+    def no_lp(*args, **kw):
+        raise AssertionError("the allocation solved an LP")
 
-    monkeypatch.setattr(optimize, "linprog", loose)
-    alloc = solvers._exact_concave_allocation(A, R)
-    assert np.all(alloc.weights >= 0)
-    assert alloc.status["max_violation"] <= 1e-12
-    assert np.max(A @ alloc.alpha - R.T @ alloc.weights) <= 1e-12
-    assert alloc.weights.sum() <= 1.0
-    assert -1e-12 <= alloc.status["gap"] <= 1e-10
+    def without_lp(A, R):
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "linprog", no_lp)
+            return inner(A, R)
+
+    monkeypatch.setattr(solvers, "_exact_concave_allocation", without_lp)
+    for A, R in instances:
+        check_allocation(A, R)
 
 
 def test_iteration_cap_raises(monkeypatch):

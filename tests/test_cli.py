@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -69,6 +70,28 @@ def test_malformed_flow_rejected(tmp_path):
     assert cli.main(["solve", "--mode", "up", "--scenario", str(p)]) == 2
 
 
+GE_LOSS = {"kind": "gilbert_elliott", "s_good": 1.0, "s_bad": 0.6,
+           "p_gb": 0, "p_bg": 1e-3}
+
+
+@pytest.mark.parametrize("mode,where,edit", [
+    ("up", "links[0].loss", lambda d: d["links"][0]["loss"].update(epsilon=1.5)),
+    ("up", "links[1].loss", lambda d: d["links"][1].update(loss=GE_LOSS)),
+    ("up", "flows[0]", lambda d: d["flows"][0].update(batch_size=8)),
+    ("up", "links[0].capacity", lambda d: d["links"][0].update(capacity="abc")),
+    ("nap", "code.m0_factor", lambda d: d["code"].update(m0_factor=0)),
+    ("nap", "solver.dual_iters", lambda d: d["solver"].update(dual_iters="x")),
+], ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters"])
+def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
+    bad = copy.deepcopy(TINY)
+    edit(bad)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert cli.main(["solve", "--mode", mode, "--scenario", str(p),
+                     "--outdir", str(tmp_path)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_unknown_preset():
     with pytest.raises(ValidationError):
         load_scenario("case12")
@@ -80,6 +103,7 @@ def test_cli_up_case1(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "case1-iid-up.json").read_text())
     assert doc["u_tilde"] == pytest.approx(-4.030, abs=0.005)
+    assert doc["status"]["allocation"]["gap"] <= 1e-10
 
 
 def test_cli_solve_simulate_roundtrip(tmp_path):

@@ -9,7 +9,17 @@ trust-constr allocation moved utilities at the 1e-8 level and is kept
 in `oracles.trust_constr_allocation`. The two-step digests were
 re-recorded when two-step solutions began to carry their NAP base's
 certificate as `status["allocation"]`; without that field each document
-hashes to its earlier digest.
+hashes to its earlier digest. Every digest was re-recorded again when
+the schedule weights began to come from the interior-point multipliers
+of `R lam <= 1` instead of a HiGHS LP: on a degenerate optimal face the
+LP returned a vertex and the multipliers return an interior point, so
+eight instances report more schedules and move rates on links that do
+not bind, while every NAP count vector and candidate pool stayed the
+same and no utility moved by more than 5.4e-14.
+
+To re-record, run `scripts/solution_digests.py --out new.json` before
+and after a change, print the differences with `--compare old.json`,
+and copy the new SHA-1s here.
 
 `TRUST_CONSTR_OUTCOMES` holds, per built-in instance, the NAP counts and
 the utilities (by `repr`) that the trust-constr allocation with the
@@ -25,50 +35,50 @@ from batsnum.solvers import primal_dual_adaptive, solve_nap, two_step_solve
 
 # (case, loss family) -> (NAP digest, two-step digest)
 CASES = {
-    (1, "iid"): ("70e5bcb9eb7158a8868ab24ba05fb035290f76ab",
-                 "00a6edeba09ce764660b0f446d687f94b8a3be31"),
-    (2, "iid"): ("c2532d9fbaeab53ec9a3190eb3a9288d0c0fce0d",
-                 "9d99bd688804f54e90ebe3c5cb9c5d21f7891c2d"),
-    (3, "iid"): ("c0c18ccc6d696b37062ceb4bbefbb24aeddd6ae8",
-                 "43062b608d910296b0d1b43a33478700ff52ca46"),
-    (4, "iid"): ("f0969847669e4878fc1ddb7c57a3ed9b8c51be4f",
-                 "514c88431ba258c34e14c6950a9d906baf57d080"),
-    (5, "iid"): ("2590430673a3126e3b717e6b6eabff3f02808adb",
-                 "992923393b35d7e7932ea4c9559dad749823a098"),
-    (6, "iid"): ("c4fa059ea729bc50e20dd47e15d093858cdb3d30",
-                 "36001b0df1f53571437f41b04f9f9c589f86cc0d"),
-    (7, "iid"): ("6c0e8d1d5da289b3af991bb11971119cdc66f550",
-                 "8fb3028c38dff0c5d4e77bc35c45dc869edcb916"),
-    (8, "iid"): ("15fb34d82de8226af23edd9a797a843201c7eb98",
-                 "50183a0af1e75907467ec1446a8acf3d0a26d710"),
-    (9, "iid"): ("bab8d2ea17b4e5f669a1056c487a888731fdfeaf",
-                 "ae948c87c23caac7c3adad955ac1b4bf96ece938"),
-    (10, "iid"): ("a7e98a0599a396d66e29f93d2b534a7e5a0086e2",
-                  "48ffef93ebfc613aed0a2e15ced7167145350d61"),
-    (11, "iid"): ("c838bdcf9a02a0ce3cbe2e6513cbae3f240d7964",
-                  "862312bee1863af7eb41534dbc3c24aa5543178d"),
-    (1, "ge"): ("3b72052d593151fef4be3c4e768ccf4a1fa81f47",
-                "8d2a0a47919811348db878f063c7e29c0aa3802f"),
-    (2, "ge"): ("fd22c57aa140218d32a0b29d1f3c936cb4c92208",
-                "58ff814ac94d7e2dabb1d345f92dc10539b72cef"),
-    (3, "ge"): ("1f01b0154c8b4885af247c4f8ac823af9ee8d112",
-                "36cbdeaaa928e75b473e586ec2ba8b86eb6c65b1"),
-    (4, "ge"): ("0fc59624792437c9b3a2c160c48593faf5b6f166",
-                "2d56f64bf7ff391f5a06844e993c9126e129ed2a"),
-    (5, "ge"): ("92e82c3c4b3ed7183b6e7576532fa0d46e579115",
-                "20736e0fb3cfe2ba531d7564806f47223a419d7c"),
-    (6, "ge"): ("06fb051d69fc24a708bc9c79a51965d4441be74d",
-                "cea42a2ee9477c6762afdbdedb46db55d2bfe8ab"),
-    (7, "ge"): ("9e6e6539dbc9f1c44209d95a25cfdc7db9640fb8",
-                "140296c1399a57b5f44eec0e6f072390a218e1d4"),
-    (8, "ge"): ("66422d0bf4f80f8eea3a60e1d9d46bbbef20fba9",
-                "4a0450cdf2fbc911670d9c967443dc1e5790818b"),
-    (9, "ge"): ("698ce5c4c9cd1887f6da24a6a5ffc43c6e07176a",
-                "15001e12f0f62e446c360dc0d3daacee9173035c"),
-    (10, "ge"): ("b68190f6fc47ada8c2768fe36409a6cc2619ddaf",
-                 "03803ba9f8d576a1762e5c26124d6cbd5ff303b7"),
-    (11, "ge"): ("caaca4e0ecf6f025df170f1f808a06474d6a98f1",
-                 "42c8a0feea73dc5fcc87b5a60ae9f1bbd3dbb293"),
+    (1, "iid"): ("68d83d2ee2d55c08fbe04f8e1b1b00419b0e134e",
+                 "86b00f04738f87fdcdb85df20bca9369463dfaa9"),
+    (2, "iid"): ("dc28cff2f64aa218c3220144bb56e2eb24cbd704",
+                 "96c3fd1afb4b2395bea317dfa6d9c0243a94c69c"),
+    (3, "iid"): ("24b553815939b16aa4698d1ce15b63c7de55b2b9",
+                 "c08c7af594d8276b7b2fc210ef6a03ab2f2d5925"),
+    (4, "iid"): ("59c62e9994a4dbe2619fc168f93f8a97ec1459b1",
+                 "043c7d57aca19cb647a456e007237ed3c96770ea"),
+    (5, "iid"): ("dcaa73992849fa8ddde2de173b892f8351d187c5",
+                 "1c4f3e82ce3be821bc5b5c45e728bf340f447632"),
+    (6, "iid"): ("c998d4d83439f581504831e32e457395a94028ec",
+                 "aae9a4a0e8441f55e3b0fa1dea7d39c8adc159bc"),
+    (7, "iid"): ("1f689dc881cb75451bd54034df9a73cc5ab74c83",
+                 "96f36cbb24acd7b900464c3192a81faeba467cb0"),
+    (8, "iid"): ("c29af9edf45de434f1015814aeee52d5acfe8f94",
+                 "b76eda8cfd14c834fcba14ab63f89edc4b72cf71"),
+    (9, "iid"): ("87316b404d61116f9c3b89af2ab0fa4b67aee951",
+                 "002796369822fa259f10bc8337d858948a0c24a9"),
+    (10, "iid"): ("b1e39e3ebb831389132369582d22946aaf331852",
+                  "76f19a5fad252bb4d88f185c2e508d6d2191331d"),
+    (11, "iid"): ("468cdd43885f42effc68009f8eff85801cc20f35",
+                  "3da482514247f380af461f59f9d245a13a9d8a52"),
+    (1, "ge"): ("5b7ec2d1d972228d7a0b9550b8d62ed3042b93a3",
+                "97f1506d2864e0056152fa0564cbaa6011871a14"),
+    (2, "ge"): ("c96f35a2e1ef5c24b8615ace98f9a09ada833f56",
+                "af06f8fefc123ae287ce40d6cfbafee13fda4e14"),
+    (3, "ge"): ("05f5262f78b9aab4f237d5b5d28ab548990a333e",
+                "d041460ce5a2e35d41e2497154f59c1b71d13ea1"),
+    (4, "ge"): ("25da5f27f7abd6019eb8ba5213eeff0f65876751",
+                "bfd706ff21e9cd2a2bfa13cf44cc42253a0623c7"),
+    (5, "ge"): ("162dd4da1c1fadb2435b02c06558e70b6c0a8596",
+                "94105fb913478bfe23d4be50c92f64b651dc8ca0"),
+    (6, "ge"): ("2eb631e1bd8092d72d80b9ec1b6b77905552e539",
+                "162d64fd84d74c5141c86de1814e7ac30c1e9395"),
+    (7, "ge"): ("86f9a692e1f9ddc6eb784b0ec660c6f828356cf0",
+                "0a4c0845476fc7a452706b7ffe89e763e886f3a2"),
+    (8, "ge"): ("b71bdd7eb2be76eb7544c39d27fbb87a660e81f1",
+                "2feecdd68bd565632aa7f62f18a3192358492c5f"),
+    (9, "ge"): ("4f33bd11a54af54b46150eeeaaae9769fabeac8c",
+                "cf17190f9256c8d1a786fe7718e44e6ca1f52c3b"),
+    (10, "ge"): ("4b79669c5320b4caf1eeb80a478fc494e268d44d",
+                 "2748975eaeea10e5f808fdb2c33cc65f8622f8d0"),
+    (11, "ge"): ("67cbc75371d92d158c8eaaf24216ee2e37d146d6",
+                 "26ed17633ff54ce03d8558c97473c585ec2308e0"),
 }
 
 
@@ -163,7 +173,7 @@ def test_primal_dual_line_frozen():
     pd = primal_dual_adaptive(sc, init_solution=two)
     assert pd.status["reverted_to_init"] is False
     assert [digest(s) for s in (nap, two, pd)] == [
-        "bd3ff74756531c5f13199ea25f4f967f607af3ac",
-        "690664939d98997bd96b1e6aa52d1d0fdea402fc",
-        "2f48177aa4e86f0c3b9c623210c3fe0e0dec37b4",
+        "ba164e235cb786db13cb3878a1551f4498a0df8c",
+        "516552350d0cec780191e3c13d819fb70013e972",
+        "e9bb20d18bfb461ddf018231e261097c622c8f35",
     ]
