@@ -255,42 +255,39 @@ ALLOCATION_MAX_ITERS = 100
 ALLOCATION_GAP_TOL = 1e-10
 
 
-def _allocation_duals(A, R):
-    """Mehrotra predictor-corrector on min -sum_i log(a_i . lam) s.t.
-    G lam <= h, G = [R; -I], h = [1; 0]; returns lam, the multipliers of
-    the S schedule rows R lam <= 1 and the iterations.
+def _interior_point(G, h, x0, derivs):
+    """Mehrotra predictor-corrector on min f(x) s.t. G x <= h from the
+    strictly feasible x0; `derivs(x)` returns the gradient and Hessian of
+    f, or None outside its domain. Returns x, the multipliers of the rows
+    and the iterations.
 
     Newton steps solve the augmented KKT system [[H, G^T], [G, -S/Z]],
-    not its E x E normal equations, which lose definiteness when the
-    optimum is a face with several schedule rows active. The objective is
-    not quadratic, so steps backtrack on the KKT residual norm.
+    not its normal equations, which lose definiteness when the optimum is
+    a face with several rows active. The objective is not quadratic, so
+    steps backtrack on the KKT residual norm.
     """
-    E, n = A.shape[0], R.shape[0] + A.shape[0]
-    G = np.vstack([R, -np.eye(E)])
-    h = np.concatenate([np.ones(R.shape[0]), np.zeros(E)])
-    lam = np.full(E, 0.5 / R.sum(axis=1).max())  # strictly feasible start
-    x = np.concatenate([lam, h - G @ lam, np.ones(n)])  # lam, slacks s, duals z
+    E, n = G.shape[1], G.shape[0]
+    x = np.concatenate([x0, h - G @ x0, np.ones(n)])  # x, slacks s, duals z
     K = np.block([[np.zeros((E, E)), G.T], [G, np.zeros((n, n))]])
     getrs, = linalg.lapack.get_lapack_funcs(("getrs",), (K,))
 
     def residuals(x, target=0.0):
-        lam, s, z = x[:E], x[E:E + n], x[E + n:]
-        d = A.T @ lam
-        if d.min() <= 0:
-            return d, np.full(E + 2 * n, np.inf)
-        return d, np.concatenate([G.T @ z - A @ (1.0 / d), G @ lam + s - h,
-                                   s * z - target])
+        got, s, z = derivs(x[:E]), x[E:E + n], x[E + n:]
+        if got is None:
+            return None, np.full(E + 2 * n, np.inf)
+        return got[1], np.concatenate([G.T @ z + got[0], G @ x[:E] + s - h,
+                                       s * z - target])
 
     def to_boundary(dx):  # largest step in (0, 1] keeping s, z >= 0
         neg = dx[E:] < 0
         return float(np.min(-x[E:][neg] / dx[E:][neg], initial=1.0))
 
     for it in range(1, ALLOCATION_MAX_ITERS + 1):
-        d, r = residuals(x)
+        H, r = residuals(x)
         s, z = x[E:E + n], x[E + n:]
         if s @ z <= 1e-13 and np.max(np.abs(r[:E] * x[:E])) <= 1e-13:
-            return x[:E], z[:R.shape[0]], it
-        K[:E, :E] = (A / d**2) @ A.T
+            return x[:E], z, it
+        K[:E, :E] = H
         K[E:, E:].flat[::n + 1] = -s / z
         lu, piv = linalg.lu_factor(K, check_finite=False)
 
@@ -310,6 +307,22 @@ def _allocation_duals(A, R):
         x = x + a * dx
     raise RuntimeError("allocation dual not solved in "
                        f"{ALLOCATION_MAX_ITERS} interior-point iterations")
+
+
+def _allocation_duals(A, R):
+    """`_interior_point` on min -sum_i log(a_i . lam) s.t. R lam <= 1,
+    lam >= 0; returns lam, the multipliers of the S schedule rows and the
+    iterations."""
+    E, S = A.shape[0], R.shape[0]
+
+    def derivs(lam):
+        d = A.T @ lam
+        return None if d.min() <= 0 else (-(A @ (1.0 / d)), (A / d**2) @ A.T)
+
+    lam, z, it = _interior_point(
+        np.vstack([R, -np.eye(E)]), np.concatenate([np.ones(S), np.zeros(E)]),
+        np.full(E, 0.5 / R.sum(axis=1).max()), derivs)
+    return lam, z[:S], it
 
 
 def _exact_concave_allocation(A, R):
