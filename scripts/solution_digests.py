@@ -5,20 +5,24 @@ Per instance (case and loss family) the document holds the SHA-1 of the
 NAP and two-step `Solution.to_json()` (the digests frozen in
 `tests/test_solver_regression.py`), the utilities by `repr`, the NAP
 counts per flow and hop, the NAP schedule count, the candidate-pool size,
-the allocation certificate and the scheduled link rates.
+the column-generation rounds, columns per flow and bound, the NAP wall
+time (loss models and search tables built beforehand), the allocation
+certificate and the scheduled link rates.
 
     python scripts/solution_digests.py --out new.json
     python scripts/solution_digests.py --out new.json --compare old.json
 
-With `--compare` it prints, per instance, the largest |dU| of the NAP and
-two-step utilities and of U~, whether the NAP counts and pool size are
-unchanged, the schedule counts and the largest move of a link rate.
+With `--compare` it prints, per instance, the signed change of U(nap) and
+U(two-step), |dU~|, whether the NAP counts are unchanged, the pool sizes,
+the schedule counts, the largest move of a link rate, the rounds and the
+NAP wall times.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+import time
 
 from batsnum import solvers
 from batsnum.scenarios import load_scenario
@@ -32,7 +36,11 @@ def digest(sol):
 
 def record(case, family):
     sc = load_scenario(f"case{case}", loss_family=family)
+    for flow in sc.flows:
+        sc.flow_search(flow)
+    start = time.perf_counter()
     nap = solvers.solve_nap(sc)
+    nap_s = time.perf_counter() - start
     two = solvers.two_step_solve(sc, nap_solution=nap)
     return {
         "nap_sha1": digest(nap),
@@ -43,6 +51,11 @@ def record(case, family):
         "nap_counts": [[round(x) for x in mb] for mb in nap.mbar],
         "schedules": len(nap.schedule_weights),
         "candidates": nap.status["candidates_evaluated"],
+        # absent before column generation; --compare reads older documents
+        "rounds": nap.status.get("rounds"),
+        "columns": nap.status.get("columns"),
+        "bound": repr(nap.status.get("bound")),
+        "nap_s": round(nap_s, 3),
         "allocation": nap.status["allocation"],
         "rate_vector": [repr(float(r)) for r in nap.rate_vector],
     }
@@ -52,20 +65,26 @@ def max_delta(old, new):
     return max(abs(float(a) - float(b)) for a, b in zip(old, new))
 
 
+def delta_total(old, new):
+    return sum(map(float, new)) - sum(map(float, old))
+
+
 def compare(old, new):
-    print("| instance | max \\|dU\\| NAP | max \\|dU\\| two-step | \\|dU~\\| | "
-          "same NAP counts | same pool | schedules | max \\|d rate\\| |")
-    print("|---|---|---|---|---|---|---|---|")
+    print("| instance | dU(nap) | dU(two-step) | \\|dU~\\| | same NAP counts "
+          "| pool | schedules | max \\|d rate\\| | rounds | NAP s |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for key, n in new.items():
         o = old[key]
         print(f"| {key} "
-              f"| {max_delta(o['nap_utilities'], n['nap_utilities']):.2g} "
-              f"| {max_delta(o['two_step_utilities'], n['two_step_utilities']):.2g} "
+              f"| {delta_total(o['nap_utilities'], n['nap_utilities']):+.2g} "
+              f"| {delta_total(o['two_step_utilities'], n['two_step_utilities']):+.2g} "
               f"| {abs(float(o['u_tilde']) - float(n['u_tilde'])):.2g} "
               f"| {'yes' if o['nap_counts'] == n['nap_counts'] else 'NO'} "
-              f"| {'yes' if o['candidates'] == n['candidates'] else 'NO'} "
+              f"| {o['candidates']} -> {n['candidates']} "
               f"| {o['schedules']} -> {n['schedules']} "
-              f"| {max_delta(o['rate_vector'], n['rate_vector']):.2g} |")
+              f"| {max_delta(o['rate_vector'], n['rate_vector']):.2g} "
+              f"| {n['rounds']} "
+              f"| {o.get('nap_s', '-')} -> {n['nap_s']} |")
 
 
 def main():

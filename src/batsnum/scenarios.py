@@ -95,8 +95,15 @@ def _number(value, path, kind=float, least=None):
     return got
 
 
+def _typed(value, kind, path):
+    """`value` if it is a `kind`; a ValidationError names `path` if not."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _loss_spec(doc, path):
-    kind = doc.get("kind")
+    kind = _typed(doc, dict, path).get("kind")
     if kind not in ("independent", "gilbert_elliott"):
         raise ValidationError(f"{path}: unknown loss kind {kind!r}")
     try:
@@ -115,19 +122,19 @@ def _loss_spec(doc, path):
 def scenario_from_config(doc):
     """Validate a configuration dict and build a Scenario."""
     for key in ("nodes", "links", "flows"):
-        if key not in doc:
+        if key not in _typed(doc, dict, "scenario"):
             raise ValidationError(f"missing top-level field {key!r}")
     links = []
-    for i, ld in enumerate(doc["links"]):
+    for i, ld in enumerate(_typed(doc["links"], list, "links")):
         path = f"links[{i}]"
         for key in ("id", "from", "to", "capacity", "loss"):
-            if key not in ld:
+            if key not in _typed(ld, dict, path):
                 raise ValidationError(f"{path}: missing field {key!r}")
         links.append(Link(id=str(ld["id"]), tail=str(ld["from"]),
                           head=str(ld["to"]),
                           capacity=_number(ld["capacity"], f"{path}.capacity"),
                           loss=_loss_spec(ld["loss"], f"{path}.loss")))
-    net = Network(nodes=list(doc["nodes"]), links=links)
+    net = Network(nodes=list(_typed(doc["nodes"], list, "nodes")), links=links)
     inter = doc.get("interference", "two-hop")
     if inter == "two-hop":
         net.interference = two_hop_interference(net)
@@ -140,25 +147,25 @@ def scenario_from_config(doc):
     else:
         raise ValidationError("interference must be two-hop|all|none|mapping")
     net.__post_init__()  # re-validate with the final interference sets
-    code = doc.get("code", {})
+    code = _typed(doc.get("code", {}), dict, "code")
     M = _number(code.get("batch_size", 16), "code.batch_size", int, 1)
     flows = []
-    for i, fd in enumerate(doc["flows"]):
+    for i, fd in enumerate(_typed(doc["flows"], list, "flows")):
         path = f"flows[{i}]"
-        if "links" not in fd:
+        if "links" not in _typed(fd, dict, path):
             raise ValidationError(f"{path}: missing field 'links'")
         if fd.get("batch_size", M) != M:
             raise ValidationError(f"{path}: batch_size {fd['batch_size']!r} "
                                   f"differs from code.batch_size {M}")
-        flow = Flow(id=str(fd.get("id", f"f{i+1}")),
-                    links=tuple(str(x) for x in fd["links"]), batch_size=M)
+        flow = Flow(id=str(fd.get("id", f"f{i+1}")), batch_size=M, links=tuple(
+            str(x) for x in _typed(fd["links"], list, f"{path}.links")))
         try:
             flow.validate_against(net)
         except ValidationError as e:
             raise ValidationError(f"{path}: {e}") from None
         flows.append(flow)
-    seeds = doc.get("seeds", {})
-    loss_doc = doc.get("loss_model", {})
+    seeds = _typed(doc.get("seeds", {}), dict, "seeds")
+    loss_doc = _typed(doc.get("loss_model", {}), dict, "loss_model")
     opts = LossModelOptions(
         m_max=_number(loss_doc.get("m_max", 100), "loss_model.m_max", int, 1),
         samples=_number(loss_doc.get("samples", 10000), "loss_model.samples",
@@ -166,7 +173,7 @@ def scenario_from_config(doc):
         seed=_number(seeds.get("loss_model", 1), "seeds.loss_model", int),
         stationarize=bool(loss_doc.get("stationarize", True)),
     )
-    solver_doc = doc.get("solver", {})
+    solver_doc = _typed(doc.get("solver", {}), dict, "solver")
     known = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
     bad = set(solver_doc) - set(known)
     if bad:

@@ -134,6 +134,66 @@ def test_allocation_solves_no_lp(solved, monkeypatch, source):
         check_allocation(A, R)
 
 
+def check_master(cols, R, master):
+    """The master's column weights and its gap against the mix they give."""
+    lam, t, beta, w, bound = master
+    C = np.column_stack([c for cs in cols for c in cs])
+    b = np.concatenate(beta)
+    assert np.all(b >= 0)
+    load = C @ b
+    assert np.max(load - R.T @ w) <= 1e-12
+    scale = np.min((R.T @ w)[load > 0] / load[load > 0]) / w.sum()
+    gap = bound - sum(np.log(scale * bi.sum()) for bi in beta)
+    assert -1e-12 <= gap <= 1e-10
+
+
+@pytest.mark.parametrize("source", ["iid", "ge", "random"])
+def test_master_with_one_column_is_the_allocation(solved, source):
+    if source == "random":
+        rng = np.random.default_rng(20261018)
+        instances = [random_instance(rng) for _ in range(200)]
+    else:
+        sc, nap = solved.scenario(1, source), solved.nap(1, source)
+        instances = [(solvers._load_matrix(sc, nap.mbar) / nap.expected_rank,
+                      schedule_rate_matrix(sc.network)[1])]
+    for A, R in instances:
+        cols = [[a] for a in A.T]
+        master = solvers._column_master(cols, R)
+        check_master(cols, R, master)
+        assert master[4] == pytest.approx(
+            solvers._exact_concave_allocation(A, R).u_total, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["iid", "ge"])
+def test_column_generation_stops_priced_out(solved, monkeypatch, family):
+    sc = solved.scenario(1, family)
+    R = schedule_rate_matrix(sc.network)[1]
+    masters, inner = [], solvers._column_master
+
+    def record(cols, R):
+        masters.append(([list(cs) for cs in cols], inner(cols, R)))
+        return masters[-1][1]
+
+    monkeypatch.setattr(solvers, "_column_master", record)
+    keys, master, rounds, _ = solvers._column_generation(sc, R)
+    assert rounds == len(masters) and master is masters[-1][1]
+    for cols, got in masters:
+        check_master(cols, R, got)
+    lam, t, beta = master[:3]
+    for i, flow in enumerate(sc.flows):
+        ctx = sc.flow_search(flow)
+        for start in (ctx.init_m, keys[i][np.argmax(beta[i])]):
+            res = solvers.flow_subproblem_local_search(sc, flow, lam, init_m=start)
+            assert res.objective * t[i] <= 1 + 1e-9
+
+
+def test_master_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(solvers, "ALLOCATION_MAX_ITERS", 1)
+    with pytest.raises(RuntimeError):
+        solvers._column_master([[np.array([2.0, 1.0])], [np.array([0.0, 3.0])]],
+                               np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(solvers, "ALLOCATION_MAX_ITERS", 1)
     with pytest.raises(RuntimeError):

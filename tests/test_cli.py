@@ -81,7 +81,18 @@ GE_LOSS = {"kind": "gilbert_elliott", "s_good": 1.0, "s_bad": 0.6,
     ("up", "links[0].capacity", lambda d: d["links"][0].update(capacity="abc")),
     ("nap", "code.m0_factor", lambda d: d["code"].update(m0_factor=0)),
     ("nap", "solver.dual_iters", lambda d: d["solver"].update(dual_iters="x")),
-], ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters"])
+    ("nap", "links[0].loss", lambda d: d["links"][0].update(loss="iid")),
+    ("nap", "code", lambda d: d.update(code=16)),
+    ("nap", "seeds", lambda d: d.update(seeds=5)),
+    ("nap", "loss_model", lambda d: d.update(loss_model=[1])),
+    ("nap", "nodes", lambda d: d.update(nodes=5)),
+    ("nap", "links", lambda d: d.update(links=5)),
+    ("nap", "flows[0]", lambda d: d.update(flows=[5])),
+    ("nap", "flows[0].links", lambda d: d["flows"][0].update(links=7)),
+    ("nap", "solver", lambda d: d.update(solver=5)),
+], ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
+        "loss_str", "code_int", "seeds_int", "loss_model_list", "nodes_int",
+        "links_int", "flow_int", "flow_links_int", "solver_int"])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)

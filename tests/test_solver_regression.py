@@ -15,7 +15,15 @@ of `R lam <= 1` instead of a HiGHS LP: on a degenerate optimal face the
 LP returned a vertex and the multipliers return an interior point, so
 eight instances report more schedules and move rates on links that do
 not bind, while every NAP count vector and candidate pool stayed the
-same and no utility moved by more than 5.4e-14.
+same and no utility moved by more than 5.4e-14. The NAP digests were
+re-recorded once more when column generation on an interior-point
+master, followed by a 50-step dual tail, replaced the 5,000-step dual
+loop: every NAP status gained `rounds`, `columns` and `bound`, and the
+candidate pools changed. Ten instances pick better count vectors (no
+utility fell); the other twelve, case 1 of both families among them,
+keep their NAP counts and utilities bit for bit, and so their two-step
+digests. In the line scenario of `test_primal_dual_line_frozen` only
+the NAP digest moved.
 
 To re-record, run `scripts/solution_digests.py --out new.json` before
 and after a change, print the differences with `--compare old.json`,
@@ -35,49 +43,49 @@ from batsnum.solvers import primal_dual_adaptive, solve_nap, two_step_solve
 
 # (case, loss family) -> (NAP digest, two-step digest)
 CASES = {
-    (1, "iid"): ("68d83d2ee2d55c08fbe04f8e1b1b00419b0e134e",
+    (1, "iid"): ("717c73e44f699df0ab594df204d6cbdcf53757fe",
                  "86b00f04738f87fdcdb85df20bca9369463dfaa9"),
-    (2, "iid"): ("dc28cff2f64aa218c3220144bb56e2eb24cbd704",
+    (2, "iid"): ("4e841283f3909c6977f1b8e982c2b9281c69d278",
                  "96c3fd1afb4b2395bea317dfa6d9c0243a94c69c"),
-    (3, "iid"): ("24b553815939b16aa4698d1ce15b63c7de55b2b9",
+    (3, "iid"): ("c850037dfde8dd6ebbd33e2fd235a4c41c0d3b5a",
                  "c08c7af594d8276b7b2fc210ef6a03ab2f2d5925"),
-    (4, "iid"): ("59c62e9994a4dbe2619fc168f93f8a97ec1459b1",
-                 "043c7d57aca19cb647a456e007237ed3c96770ea"),
-    (5, "iid"): ("dcaa73992849fa8ddde2de173b892f8351d187c5",
+    (4, "iid"): ("ab445328c34146ccee00900ef3056364693bc08b",
+                 "ca1b873c896e06ecd93eef8de6dc3a909dcaf44e"),
+    (5, "iid"): ("1cec9226c8e912102d21ebb00a3255abf1a6e031",
                  "1c4f3e82ce3be821bc5b5c45e728bf340f447632"),
-    (6, "iid"): ("c998d4d83439f581504831e32e457395a94028ec",
-                 "aae9a4a0e8441f55e3b0fa1dea7d39c8adc159bc"),
-    (7, "iid"): ("1f689dc881cb75451bd54034df9a73cc5ab74c83",
+    (6, "iid"): ("26d6e1118d2fd23b7687ef7bbae1783cc83bf192",
+                 "879ad8de86d52ffe9b974e9f068de3e6c0e37185"),
+    (7, "iid"): ("a57a244c10e636d5a8dfe4c34a3685cc1123709d",
                  "96f36cbb24acd7b900464c3192a81faeba467cb0"),
-    (8, "iid"): ("c29af9edf45de434f1015814aeee52d5acfe8f94",
+    (8, "iid"): ("13e3593f9177fb7ecdf01517eeef162df946185e",
                  "b76eda8cfd14c834fcba14ab63f89edc4b72cf71"),
-    (9, "iid"): ("87316b404d61116f9c3b89af2ab0fa4b67aee951",
-                 "002796369822fa259f10bc8337d858948a0c24a9"),
-    (10, "iid"): ("b1e39e3ebb831389132369582d22946aaf331852",
+    (9, "iid"): ("9f32d138c86c5f9e81964cb080b6c743ca194e1e",
+                 "01ffb0affa94708f096b4af20e50ac42a77d8189"),
+    (10, "iid"): ("72e8ea527a1cc7e64823bb070c3f9805b7acbeab",
                   "76f19a5fad252bb4d88f185c2e508d6d2191331d"),
-    (11, "iid"): ("468cdd43885f42effc68009f8eff85801cc20f35",
+    (11, "iid"): ("111caee4417242c14c21141aecd528d019de5fec",
                   "3da482514247f380af461f59f9d245a13a9d8a52"),
-    (1, "ge"): ("5b7ec2d1d972228d7a0b9550b8d62ed3042b93a3",
+    (1, "ge"): ("326690e524633fc08f2cd172d16d8d3dce570177",
                 "97f1506d2864e0056152fa0564cbaa6011871a14"),
-    (2, "ge"): ("c96f35a2e1ef5c24b8615ace98f9a09ada833f56",
-                "af06f8fefc123ae287ce40d6cfbafee13fda4e14"),
-    (3, "ge"): ("05f5262f78b9aab4f237d5b5d28ab548990a333e",
-                "d041460ce5a2e35d41e2497154f59c1b71d13ea1"),
-    (4, "ge"): ("25da5f27f7abd6019eb8ba5213eeff0f65876751",
-                "bfd706ff21e9cd2a2bfa13cf44cc42253a0623c7"),
-    (5, "ge"): ("162dd4da1c1fadb2435b02c06558e70b6c0a8596",
-                "94105fb913478bfe23d4be50c92f64b651dc8ca0"),
-    (6, "ge"): ("2eb631e1bd8092d72d80b9ec1b6b77905552e539",
-                "162d64fd84d74c5141c86de1814e7ac30c1e9395"),
-    (7, "ge"): ("86f9a692e1f9ddc6eb784b0ec660c6f828356cf0",
+    (2, "ge"): ("7f1dbc992ebc56bda82bc470321fddd433fedacb",
+                "7e95ee47e5e43c18826edc92ddd9c790fc08b2ad"),
+    (3, "ge"): ("74d7376ab896024e0d5d949b2f710e4541315e53",
+                "c1080dfead9e43888a6ce990beae6ff8d5304df4"),
+    (4, "ge"): ("4b48faaa60e329149214490d68cb4e4686dfef04",
+                "ac27ccffc9e953cee5535001d73ab99a8d5242d8"),
+    (5, "ge"): ("ac80c3726bf01632e34f2b0bead16dc28120b36e",
+                "b4b63211218da73bbb3ac0e39d3f7a7f99bc5734"),
+    (6, "ge"): ("16ad21c56170b06e97b72b493b4157afec550319",
+                "d9ea37a30ae51f42bac53b04075dab79d819799a"),
+    (7, "ge"): ("1c0116082ec0eab038f928670a63debbc6a6c318",
                 "0a4c0845476fc7a452706b7ffe89e763e886f3a2"),
-    (8, "ge"): ("b71bdd7eb2be76eb7544c39d27fbb87a660e81f1",
-                "2feecdd68bd565632aa7f62f18a3192358492c5f"),
-    (9, "ge"): ("4f33bd11a54af54b46150eeeaaae9769fabeac8c",
-                "cf17190f9256c8d1a786fe7718e44e6ca1f52c3b"),
-    (10, "ge"): ("4b79669c5320b4caf1eeb80a478fc494e268d44d",
+    (8, "ge"): ("3b68181f8d032f7431407c534e741944823408af",
+                "387b82c3f142d2c3c43f825d489125d7126f6bbd"),
+    (9, "ge"): ("131dc11486766d727f449b576d207e69ce5277ea",
+                "a6d7d35d58f36477c44c242230f776217338e9a9"),
+    (10, "ge"): ("f6a0a31c7e3ffa1e6811a74e8427e348fe8967b2",
                  "2748975eaeea10e5f808fdb2c33cc65f8622f8d0"),
-    (11, "ge"): ("67cbc75371d92d158c8eaaf24216ee2e37d146d6",
+    (11, "ge"): ("3028104e510aab297a3f8a5d65496ba630e28dc7",
                  "26ed17633ff54ce03d8558c97473c585ec2308e0"),
 }
 
@@ -173,7 +181,7 @@ def test_primal_dual_line_frozen():
     pd = primal_dual_adaptive(sc, init_solution=two)
     assert pd.status["reverted_to_init"] is False
     assert [digest(s) for s in (nap, two, pd)] == [
-        "ba164e235cb786db13cb3878a1551f4498a0df8c",
+        "c52e4deca157bfce42f8d5d5122d6126c3c05fa4",
         "516552350d0cec780191e3c13d819fb70013e972",
         "e9bb20d18bfb461ddf018231e261097c622c8f35",
     ]
