@@ -51,7 +51,7 @@ def record(case, family):
         "nap_counts": [[round(x) for x in mb] for mb in nap.mbar],
         "schedules": len(nap.schedule_weights),
         "candidates": nap.status["candidates_evaluated"],
-        # absent before column generation; --compare reads older documents
+        # absent before column generation, so older checkouts can be timed
         "rounds": nap.status.get("rounds"),
         "columns": nap.status.get("columns"),
         "bound": repr(nap.status.get("bound")),
