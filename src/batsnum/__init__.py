@@ -2,9 +2,8 @@
 
 from . import ffmat, loss, netmodel, rankcalc, recoding, scenarios, sim, solvers
 from .scenarios import load_scenario
-from .solvers import (Scenario, Solution, SolverConfig, primal_dual_adaptive,
-                      solve_fixed_policy, solve_nap, solve_up, two_step_solve,
-                      utility_ratio)
+from .solvers import (Scenario, Solution, SolverConfig, solve_fixed_policy,
+                      solve_nap, solve_up, two_step_solve, utility_ratio)
 
 __version__ = "0.1.0"
 
@@ -12,5 +11,5 @@ __all__ = [
     "ffmat", "loss", "netmodel", "rankcalc", "recoding", "scenarios", "sim",
     "solvers", "load_scenario", "Scenario", "Solution", "SolverConfig",
     "solve_nap", "solve_up", "two_step_solve", "solve_fixed_policy",
-    "primal_dual_adaptive", "utility_ratio",
+    "utility_ratio",
 ]

@@ -37,7 +37,7 @@ def _load(args):
 
 
 SOLVERS = {"up": solvers.solve_up, "nap": solvers.solve_nap,
-           "two-step": solvers.two_step_solve, "pd": solvers.primal_dual_adaptive}
+           "two-step": solvers.two_step_solve}
 
 
 def cmd_solve(args):
@@ -69,10 +69,23 @@ def cmd_solve(args):
     return 0
 
 
+def _read_solution(path):
+    """The solution document at `path`; a ValidationError names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return Solution.from_json(fh.read())
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        raise ValidationError(f"--solution {path}: cannot read a solution "
+                              f"document ({e!r})") from None
+
+
 def cmd_simulate(args):
     scenario = _load(args)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        solution = Solution.from_json(fh.read())
+    solution = _read_solution(args.solution)
+    if ([(fid, len(p)) for fid, p in zip(solution.flow_ids, solution.policies)]
+            != [(f.id, len(f.links)) for f in scenario.flows]):
+        raise ValidationError(f"--solution {args.solution}: its flows and "
+                              f"hops differ from {scenario.name}'s")
     report = sim.run_simulation(scenario, solution, slots=args.slots,
                                 rng_seed=args.seed)
     out = _outdir(args)
@@ -130,6 +143,20 @@ def cmd_export(args):
     return 0
 
 
+def _at_least(least):
+    """argparse type: an integer no smaller than `least`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        return value
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="batsnum")
     sub = p.add_subparsers(dest="command", required=True)
@@ -145,16 +172,15 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="run one solver on one scenario")
     common(sp)
-    sp.add_argument("--mode", choices=["nap", "two-step", "up", "pd"],
-                    required=True)
+    sp.add_argument("--mode", choices=["nap", "two-step", "up"], required=True)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("simulate", help="packet-level run of a solved config")
     common(sp)
     sp.add_argument("--solution", required=True, help="solution JSON path")
-    sp.add_argument("--slots", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--buffer-stride", type=int, default=1,
+    sp.add_argument("--slots", type=_at_least(1), default=1_000_000)
+    sp.add_argument("--seed", type=_at_least(0), default=7)
+    sp.add_argument("--buffer-stride", type=_at_least(1), default=1,
                     help="CSV downsampling stride for the buffer series")
     sp.set_defaults(func=cmd_simulate)
 

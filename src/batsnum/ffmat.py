@@ -44,22 +44,6 @@ def _check_field(q):
         raise ValueError(f"unsupported field size {q}; supported: {SUPPORTED_FIELDS}")
 
 
-def gf_mul(a, b, q=256):
-    """Product of two field elements (ints or uint8 arrays)."""
-    _check_field(q)
-    if q == 2:
-        return a & b
-    return _MUL256[a, b]
-
-
-def gf_inv(a, q=256):
-    """Multiplicative inverse of a nonzero element."""
-    _check_field(q)
-    if np.any(np.asarray(a) == 0):
-        raise ZeroDivisionError("zero has no inverse")
-    return 1 if q == 2 else _INV256[a]
-
-
 def random_matrix(rows, cols, rng, q=256):
     """Uniform i.i.d. matrix over GF(q); deterministic given the generator."""
     _check_field(q)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .loss import LossSpec
 
@@ -14,13 +13,6 @@ ENUMERATION_LIMIT = 25
 
 class ValidationError(ValueError):
     pass
-
-
-class DecompositionError(ValueError):
-    def __init__(self, message, achievable_scale=None, binding_links=None):
-        super().__init__(message)
-        self.achievable_scale = achievable_scale
-        self.binding_links = binding_links
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,7 @@ def enumerate_feasible_schedules(network):
     n = len(network.links)
     if n > ENUMERATION_LIMIT:
         raise ValidationError(
-            f"{n} links exceeds enumeration limit {ENUMERATION_LIMIT}; "
-            "use max_weight_schedule")
+            f"{n} links exceeds enumeration limit {ENUMERATION_LIMIT}")
     if network._schedule_cache is not None:
         return network._schedule_cache
     C = network.conflict_matrix()
@@ -220,54 +211,3 @@ def max_weight_index(rates, weights):
     vals = rates @ weights
     best = float(vals.max())
     return int(np.flatnonzero(vals >= best - 1e-12 * max(1.0, abs(best)))[0])
-
-
-def max_weight_schedule(network, weights):
-    """Feasible schedule maximizing sum_e weight_e * c_e * s_e."""
-    weights = np.asarray(weights, dtype=float)
-    scheds, rates = schedule_rate_matrix(network)
-    idx = max_weight_index(rates, weights)
-    return scheds[idx], float(rates[idx] @ weights)
-
-
-def decompose_rate_vector(network, target):
-    """Time shares over feasible schedules whose mix dominates `target`.
-
-    Solves a feasibility LP (minimize total time, cover every link's
-    target rate, total share <= 1). Raises DecompositionError with the
-    best achievable uniform scale when the target is outside the region.
-    """
-    target = np.asarray(target, dtype=float)
-    if np.any(target < 0):
-        raise ValidationError("target rates must be nonnegative")
-    scheds, rates = schedule_rate_matrix(network)
-    S = len(scheds)
-    if not np.any(target > 0):
-        return []
-    res = optimize.linprog(
-        c=np.ones(S),
-        A_ub=np.vstack([-rates.T, np.ones((1, S))]),
-        b_ub=np.concatenate([-target, [1.0]]),
-        bounds=[(0, None)] * S,
-        method="highs",
-    )
-    if not res.success:
-        # certificate: the largest sigma with sigma*target schedulable
-        lp = optimize.linprog(
-            c=np.concatenate([[-1.0], np.zeros(S)]),
-            A_ub=np.block([[target[:, None], -rates.T],
-                           [np.zeros((1, 1)), np.ones((1, S))]]),
-            b_ub=np.concatenate([np.zeros(len(target)), [1.0]]),
-            bounds=[(0, None)] * (S + 1),
-            method="highs",
-        )
-        sigma = float(lp.x[0]) if lp.success else 0.0
-        mix = rates.T @ lp.x[1:] if lp.success else np.zeros(len(target))
-        binding = [network.links[i].id for i in range(len(target))
-                   if target[i] > 0 and mix[i] <= target[i] * sigma + 1e-9]
-        raise DecompositionError(
-            f"target rate vector infeasible; at most {sigma:.6f} of it is "
-            f"schedulable (binding links: {binding})",
-            achievable_scale=sigma, binding_links=binding)
-    out = [(scheds[i], float(res.x[i])) for i in range(S) if res.x[i] > 1e-12]
-    return out

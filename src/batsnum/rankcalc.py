@@ -2,9 +2,9 @@
 
 Core quantities: the rank pmf of uniformly random matrices over GF(q),
 the per-hop expected-rank curves E_r(t), hop transition matrices for a
-recoding policy under a batch-wise loss model, end-to-end propagation,
-the chain-rule gradient of the destination expected rank with respect to
-a hop's policy, and the cut-set bound.
+recoding policy under a batch-wise loss model, the chain-rule gradient
+of the destination expected rank with respect to a hop's policy, and
+the cut-set bound.
 """
 
 from __future__ import annotations
@@ -122,17 +122,6 @@ def expected_rank_table(model, q, M):
     return E1
 
 
-def expected_rank_after_hop(r, t, model, q, M=None):
-    """Expected rank at the next node given rank r and t transmitted packets."""
-    if t > model.m_max or t < 0:
-        raise ValueError(f"t={t} outside model support [0, {model.m_max}]")
-    if M is None:
-        M = r
-    if not 0 <= r <= M:
-        raise ValueError(f"r={r} outside [0, {M}]")
-    return float(expected_rank_table(model, q, M)[r, t])
-
-
 def transition_matrix(policy, model, q, M):
     """Rank transition matrix of one hop under `policy` and `model`.
 
@@ -168,37 +157,24 @@ def almost_deterministic_transition(t, model, q, M):
     return (1.0 - frac)[:, None] * W[lo, r] + frac[:, None] * W[hi, r]
 
 
-def propagate(h0, path_matrices):
-    """Push a rank distribution through a chain of hop transition matrices."""
-    h = np.asarray(h0.h if isinstance(h0, RankDistribution) else h0, dtype=float)
-    M = len(h) - 1
-    for P in path_matrices:
-        if P.shape != (M + 1, M + 1):
-            raise ValueError(f"transition matrix shape {P.shape} != {(M+1, M+1)}")
-        h = h @ P
-    return h, float(h @ np.arange(M + 1))
-
-
-def chain_gradient(h0, path_matrices, hop_index, model, q, m_cols,
-                   terminal=None):
-    """Gradient of h0 . P_1 ... P_L . v with respect to hop `hop_index`'s policy.
+def chain_gradient(h0, path_matrices, hop_index, model, q, m_cols):
+    """Gradient of the expected destination rank h0 . P_1 ... P_L . (0..M)
+    with respect to hop `hop_index`'s policy.
 
     Entry (r, m) is the derivative with respect to p(m|r). The hop's
     transition matrix is linear in its policy, so the derivative of P at
     (i, j) w.r.t. p(m|r) is W[m, i, j] for i = r and 0 elsewhere; the
-    chain collapses to left[r] * (W[m] @ right)[r]. `terminal` defaults
-    to the rank values (0..M), giving the expected-rank gradient.
+    chain collapses to left[r] * (W[m] @ right)[r].
     """
     h = np.asarray(h0.h if isinstance(h0, RankDistribution) else h0, dtype=float)
     M = len(h) - 1
     L = len(path_matrices)
     if not 0 <= hop_index < L:
         raise ValueError(f"hop_index {hop_index} outside [0, {L})")
-    v = np.arange(M + 1, dtype=float) if terminal is None else np.asarray(terminal)
     left = h.copy()
     for P in path_matrices[:hop_index]:
         left = left @ P
-    right = v.copy()
+    right = np.arange(M + 1, dtype=float)
     for P in reversed(path_matrices[hop_index + 1:]):
         right = P @ right
     W = hop_tables(model, q, M)

@@ -144,34 +144,6 @@ def average_packets(policy, h):
     return total
 
 
-def average_packets_gradient(policy, h):
-    """d(average packets)/d p(m|r) = m * h(r); shaped like the policy matrix."""
-    h = np.asarray(h.h if hasattr(h, "h") else h, dtype=float)
-    cols = policy.support_columns()
-    return np.outer(h, np.arange(cols, dtype=float))
-
-
-def project_stochastic(A):
-    """Row-wise Euclidean projection onto the simplex; row 0 pinned to e0."""
-    A = np.asarray(A, dtype=float)
-    out = np.empty_like(A)
-    for r in range(A.shape[0]):
-        out[r] = _project_simplex(A[r])
-    out[0] = 0.0
-    out[0, 0] = 1.0
-    return out
-
-
-def _project_simplex(v):
-    """Euclidean projection of v onto {x >= 0, sum x = 1} (sort method)."""
-    n = len(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.flatnonzero(u * np.arange(1, n + 1) > (css - 1.0))[-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 @dataclass
 class HopResult:
     expected_rank: float

@@ -229,5 +229,9 @@ def load_scenario(source, loss_family="iid"):
         return scenario_from_config(source)
     if not os.path.exists(source):
         raise ValidationError(f"no such preset or file: {source!r}")
-    with open(source, "r", encoding="utf-8") as fh:
-        return scenario_from_config(json.load(fh))
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"{source}: not a JSON document ({e})") from None
+    return scenario_from_config(doc)

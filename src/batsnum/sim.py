@@ -150,32 +150,13 @@ def _uniform_recode(basis, m, q, rng):
     return ffmat.gf_matmul(coef, basis, q=q)
 
 
-def _systematic_recode(basis, m, q, rng):
-    """Independent received rows first, then random combinations; shuffled."""
-    r, M = basis.shape
-    if m == 0 or r == 0:
-        return np.zeros((m, M), dtype=np.uint8)
-    out = np.zeros((m, M), dtype=np.uint8)
-    n_sys = min(m, r)
-    out[:n_sys] = basis[:n_sys]
-    if m > r:
-        out[r:] = _uniform_recode(basis, m - r, q, rng)
-    return out[rng.permutation(m)]
-
-
-def recode_batch(basis, policy, rank, q, rng, mode="uniform"):
+def recode_batch(basis, policy, rank, q, rng):
     """Generate the transmit coefficient rows for a closed batch."""
-    m = policy.sample_count(rank, rng)
-    if mode == "uniform":
-        return _uniform_recode(basis, m, q, rng)
-    if mode == "systematic":
-        return _systematic_recode(basis, m, q, rng)
-    raise ValueError(f"unknown recode mode {mode!r}")
+    return _uniform_recode(basis, policy.sample_count(rank, rng), q, rng)
 
 
 def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
-                   frame_length=1000, recode_mode="uniform",
-                   record_buffers=True, feasibility_tol=1e-6):
+                   frame_length=1000, record_buffers=True, feasibility_tol=1e-6):
     """Drive the solved configuration through a packet-level run.
 
     Per slot: sources emit batches at their solved rates, links active in
@@ -257,7 +238,7 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
         else:
             pol = policy_for[(flow_id, out_link)]
             rows_out = recode_batch(state.basis.to_array(M), pol, rank, q,
-                                    flow_rng[flow_id], mode=recode_mode)
+                                    flow_rng[flow_id])
             enqueue(flow_id, out_link, state.batch, rows_out, rank)
         state.batch = -1
 
@@ -272,7 +253,7 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
                 bid = emitted[f.id]
                 emitted[f.id] += 1
                 rows = recode_batch(identity, policy_for[(f.id, f.links[0])],
-                                    M, q, flow_rng[f.id], mode=recode_mode)
+                                    M, q, flow_rng[f.id])
                 enqueue(f.id, f.links[0], bid, rows, M)
         # scheduled transmissions
         for link in active_links[slot % len(frame)]:

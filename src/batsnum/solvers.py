@@ -4,8 +4,7 @@ Three problems on the same scenario: the nonadaptive solver (column
 generation over per-hop transmit counts priced by a joint local search,
 a short dual subgradient tail, then exact feasibility recovery), the
 cut-set upper bound, and the two-step adaptive solver that reallocates
-each flow's transmit budget rank by rank. A projected-gradient adaptive
-variant is included for comparison.
+each flow's transmit budget rank by rank.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
@@ -53,9 +52,6 @@ class SolverConfig:
     eta_stop: float = 3.0
     eta_step: float = 0.01
     eta_tol: float = 1e-4
-    pd_steps: int = 200
-    pd_step_a: float = 0.05
-    pd_step_b: float = 10.0
 
 
 @dataclass
@@ -384,23 +380,15 @@ def _column_master(cols, R):
 # ---------------------------------------------------------------------------
 
 
-def _forward_pass(scenario, flow, policies):
-    """Per-hop rank distributions (source first, L + 1 of them), transition
-    matrices and average packets along `flow` under `policies`."""
-    hs = [rankcalc.RankDistribution.source(scenario.M).h]
-    mats, mbars = [], []
-    for lid, pol in zip(flow.links, policies):
-        mbars.append(recoding.average_packets(pol, hs[-1]))
-        mats.append(rankcalc.transition_matrix(pol, scenario.loss_model(lid),
-                                               scenario.q, scenario.M))
-        hs.append(hs[-1] @ mats[-1])
-    return hs, mats, mbars
-
-
 def _policy_mbar_and_rank(scenario, flow, policies):
     """Per-hop average packets, the destination rank dist and its mean."""
-    hs, _, mbars = _forward_pass(scenario, flow, policies)
-    return mbars, hs[-1], float(hs[-1] @ np.arange(scenario.M + 1))
+    h = rankcalc.RankDistribution.source(scenario.M).h
+    mbars = []
+    for lid, pol in zip(flow.links, policies):
+        mbars.append(recoding.average_packets(pol, h))
+        h = h @ rankcalc.transition_matrix(pol, scenario.loss_model(lid),
+                                           scenario.q, scenario.M)
+    return mbars, h, float(h @ np.arange(scenario.M + 1))
 
 
 def _load_matrix(scenario, mbar_per_flow):
@@ -894,96 +882,3 @@ def two_step_solve(scenario, nap_solution=None):
                 "duals": base.status.get("duals", []),
                 "allocation": base.status["allocation"]},
     )
-
-
-# ---------------------------------------------------------------------------
-# projected-gradient adaptive solver
-
-
-def _ratio_gradients(scenario, flow, policies, lam, fwd=None):
-    """Per-hop gradients of E[h] / sum_e lam_e mbar_e w.r.t. each policy.
-
-    The denominator depends on upstream policies through the rank
-    distributions, so the quotient rule needs chain terms for every
-    downstream hop's average count, not only the direct m * h(r) part.
-    `fwd` is the policies' `_forward_pass`, if the caller already has it.
-    """
-    M, q = scenario.M, scenario.q
-    L = len(flow.links)
-    models = [scenario.loss_model(e) for e in flow.links]
-    hs, mats, mbar = fwd or _forward_pass(scenario, flow, policies)
-    h0 = hs[0]
-    lam_path = lam[scenario.flow_search(flow).idx]
-    E_val = float(hs[-1] @ np.arange(M + 1))
-    D_val = float(lam_path @ np.array(mbar))
-    w_vecs = [np.array([sum(m * p for m, p in pol.support(r))
-                        for r in range(M + 1)]) for pol in policies]
-    grads = []
-    for l, pol in enumerate(policies):
-        cols = pol.support_columns()
-        gE = rankcalc.chain_gradient(h0, mats, l, models[l], q, cols)
-        gD = lam_path[l] * recoding.average_packets_gradient(pol, hs[l])[:, :cols]
-        for j in range(l + 1, L):
-            if lam_path[j] == 0:
-                continue
-            gD = gD + lam_path[j] * rankcalc.chain_gradient(
-                h0, mats[:j], l, models[l], q, cols, terminal=w_vecs[j])
-        grads.append((gE * D_val - E_val * gD) / D_val**2)
-    return grads, mbar, E_val, D_val
-
-
-def primal_dual_adaptive(scenario, init_solution=None):
-    """Projected-gradient ascent on the recoding matrices.
-
-    Initialized from the two-step solution; each iteration lifts every
-    policy along the priced-ratio gradient, projects back onto the
-    stochastic matrices (rank-0 row pinned), then updates rates,
-    schedule, and prices. A final fixed-policy solve restores exact
-    feasibility; if the result is worse than the initialization, the
-    initialization is returned (status records the fallback).
-    """
-    cfg = scenario.solver
-    base = init_solution if init_solution is not None else two_step_solve(scenario)
-    policies = []
-    for i, flow in enumerate(scenario.flows):
-        pols = []
-        for l, pol in enumerate(base.policies[i]):
-            cap = scenario.m_cap(flow.links[l])
-            if pol.kind == "nonadaptive":
-                t = np.full(scenario.M + 1, min(pol.m, cap), dtype=float)
-                t[0] = 0.0
-                pol = recoding.expand_almost_deterministic(t, cap)
-            pols.append(pol)
-        policies.append(pols)
-    lam = np.array(base.status.get("duals",
-                                   1.0 / scenario.network.capacities),
-                   dtype=float)
-    if lam.shape != (len(scenario.network.links),):
-        lam = 1.0 / scenario.network.capacities
-    R = schedule_rate_matrix(scenario.network)[1]
-    state = DualState(multipliers=lam, step_a=cfg.step_a, step_b=cfg.step_b)
-    # each policy set's forward pass gives its m-bar, then its gradients
-    passes = [_forward_pass(scenario, flow, pols)
-              for flow, pols in zip(scenario.flows, policies)]
-    for t in range(1, cfg.pd_steps + 1):
-        beta = cfg.pd_step_a / (cfg.pd_step_b + t)
-        load = np.zeros(len(scenario.network.links))
-        for i, flow in enumerate(scenario.flows):
-            idx = scenario.flow_search(flow).idx
-            grads = _ratio_gradients(scenario, flow, policies[i],
-                                     state.multipliers, passes[i])[0]
-            policies[i] = [RecodingPolicy.adaptive(
-                recoding.project_stochastic(pol.p + beta * g))
-                for pol, g in zip(policies[i], grads)]
-            passes[i] = _forward_pass(scenario, flow, policies[i])
-            mbar = np.array(passes[i][2])
-            alpha_i = 1.0 / max(float(state.multipliers[idx] @ mbar), 1e-12)
-            load[idx] += alpha_i * mbar
-        state.update(load - R[max_weight_index(R, state.multipliers)])
-    fixed = solve_fixed_policy(scenario, policies)
-    if fixed.utilities.sum() < base.u_total:
-        return replace(base, mode="pd",
-                       status={**base.status, "reverted_to_init": True})
-    return _fixed_policy_solution(
-        "pd", scenario, fixed, base.u_tilde,
-        {"reverted_to_init": False, "pd_steps": cfg.pd_steps})

@@ -1,9 +1,13 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is deliberately brute force and shares no code with the
-package paths it checks. `systematic_transition_matrix` and
-`expected_rank_gradient` are test-only helpers that no package path
-reads.
+The reference implementations are deliberately brute force and share no
+code with the package paths they check. The helpers below them are read
+by tests only, never by a package path: `systematic_transition_matrix`
+(the hop transition of systematic recoding, which the simulator does not
+implement), `expected_rank_gradient`, the GF(256) scalar operations
+`gf_mul` and `gf_inv`, `expected_rank_after_hop` and `propagate` over
+the rank calculus, and `max_weight_schedule` and `decompose_rate_vector`
+(with `DecompositionError`) over the enumerated schedules.
 """
 
 import itertools
@@ -14,6 +18,8 @@ from scipy import optimize
 
 from batsnum import ffmat, rankcalc
 from batsnum.ffmat import _INV256, _MUL256, _check_field
+from batsnum.netmodel import (ValidationError, max_weight_index,
+                              schedule_rate_matrix)
 from batsnum.recoding import (BUDGET_TOL, AlmostDeterministicSpec, HopResult,
                               expand_almost_deterministic)
 from batsnum.solvers import ConcaveAllocation
@@ -117,29 +123,6 @@ def row_reduce_numpy(A, q=256):
         if r == rows:
             break
     return A[:r], r
-
-
-def simplex_projection_qp(v):
-    """Projection onto the probability simplex by KKT active-set enumeration.
-
-    With the support guessed as the indices kept active, the optimum is
-    v_i - theta on the support; enumerate supports by the sorted order.
-    """
-    v = np.asarray(v, dtype=float)
-    n = len(v)
-    order = np.argsort(v)[::-1]
-    best = None
-    for size in range(1, n + 1):
-        sel = order[:size]
-        theta = (v[sel].sum() - 1.0) / size
-        x = np.zeros(n)
-        x[sel] = v[sel] - theta
-        if np.all(x[sel] >= -1e-12):
-            x = np.maximum(x, 0.0)
-            val = float(np.sum((x - v) ** 2))
-            if best is None or val < best[0] - 1e-15:
-                best = (val, x)
-    return best[1]
 
 
 def almost_deterministic_exhaustive(h, E1, budget, cap):
@@ -325,6 +308,103 @@ def expected_rank_gradient(h0, path_matrices, hop_index, policy, model, q):
     """d E[h_L] / d p(m|r) for the policy at `hop_index` (0-based)."""
     m_cols = policy.support_columns()
     return rankcalc.chain_gradient(h0, path_matrices, hop_index, model, q, m_cols)
+
+
+def gf_mul(a, b, q=256):
+    """Product of two field elements (ints or uint8 arrays)."""
+    _check_field(q)
+    if q == 2:
+        return a & b
+    return _MUL256[a, b]
+
+
+def gf_inv(a, q=256):
+    """Multiplicative inverse of a nonzero element."""
+    _check_field(q)
+    if np.any(np.asarray(a) == 0):
+        raise ZeroDivisionError("zero has no inverse")
+    return 1 if q == 2 else _INV256[a]
+
+
+def expected_rank_after_hop(r, t, model, q, M=None):
+    """Expected rank at the next node given rank r and t transmitted packets."""
+    if t > model.m_max or t < 0:
+        raise ValueError(f"t={t} outside model support [0, {model.m_max}]")
+    if M is None:
+        M = r
+    if not 0 <= r <= M:
+        raise ValueError(f"r={r} outside [0, {M}]")
+    return float(rankcalc.expected_rank_table(model, q, M)[r, t])
+
+
+def propagate(h0, path_matrices):
+    """Push a rank distribution through a chain of hop transition matrices."""
+    h = np.asarray(h0.h if isinstance(h0, rankcalc.RankDistribution) else h0,
+                   dtype=float)
+    M = len(h) - 1
+    for P in path_matrices:
+        if P.shape != (M + 1, M + 1):
+            raise ValueError(f"transition matrix shape {P.shape} != {(M+1, M+1)}")
+        h = h @ P
+    return h, float(h @ np.arange(M + 1))
+
+
+def max_weight_schedule(network, weights):
+    """Feasible schedule maximizing sum_e weight_e * c_e * s_e."""
+    weights = np.asarray(weights, dtype=float)
+    scheds, rates = schedule_rate_matrix(network)
+    idx = max_weight_index(rates, weights)
+    return scheds[idx], float(rates[idx] @ weights)
+
+
+class DecompositionError(ValueError):
+    def __init__(self, message, achievable_scale=None, binding_links=None):
+        super().__init__(message)
+        self.achievable_scale = achievable_scale
+        self.binding_links = binding_links
+
+
+def decompose_rate_vector(network, target):
+    """Time shares over feasible schedules whose mix dominates `target`.
+
+    Solves a feasibility LP (minimize total time, cover every link's
+    target rate, total share <= 1). Raises DecompositionError with the
+    best achievable uniform scale when the target is outside the region.
+    """
+    target = np.asarray(target, dtype=float)
+    if np.any(target < 0):
+        raise ValidationError("target rates must be nonnegative")
+    scheds, rates = schedule_rate_matrix(network)
+    S = len(scheds)
+    if not np.any(target > 0):
+        return []
+    res = optimize.linprog(
+        c=np.ones(S),
+        A_ub=np.vstack([-rates.T, np.ones((1, S))]),
+        b_ub=np.concatenate([-target, [1.0]]),
+        bounds=[(0, None)] * S,
+        method="highs",
+    )
+    if not res.success:
+        # certificate: the largest sigma with sigma*target schedulable
+        lp = optimize.linprog(
+            c=np.concatenate([[-1.0], np.zeros(S)]),
+            A_ub=np.block([[target[:, None], -rates.T],
+                           [np.zeros((1, 1)), np.ones((1, S))]]),
+            b_ub=np.concatenate([np.zeros(len(target)), [1.0]]),
+            bounds=[(0, None)] * (S + 1),
+            method="highs",
+        )
+        sigma = float(lp.x[0]) if lp.success else 0.0
+        mix = rates.T @ lp.x[1:] if lp.success else np.zeros(len(target))
+        binding = [network.links[i].id for i in range(len(target))
+                   if target[i] > 0 and mix[i] <= target[i] * sigma + 1e-9]
+        raise DecompositionError(
+            f"target rate vector infeasible; at most {sigma:.6f} of it is "
+            f"schedulable (binding links: {binding})",
+            achievable_scale=sigma, binding_links=binding)
+    out = [(scheds[i], float(res.x[i])) for i in range(S) if res.x[i] > 1e-12]
+    return out
 
 
 def trust_constr_allocation(A, R):

@@ -15,7 +15,7 @@ from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
 from oracles import (almost_deterministic_exhaustive, expected_rank_gradient,
-                     gf2_rank_pmf_by_enumeration)
+                     gf2_rank_pmf_by_enumeration, propagate)
 
 TABLE_NAP_IID = {1: (-2.119, -2.119, 90.12), 2: (-1.452, -1.495, 85.94),
                  3: (-2.159, -2.186, 85.43), 4: (-2.610, -2.821, 89.76),
@@ -204,8 +204,8 @@ def test_criterion_9_gradient_fd():
             hi[hop] = mats[hop] + step * D
             lo = list(mats)
             lo[hop] = mats[hop] - step * D
-            fd = (rankcalc.propagate(h0, hi)[1]
-                  - rankcalc.propagate(h0, lo)[1]) / (2 * step)
+            fd = (propagate(h0, hi)[1]
+                  - propagate(h0, lo)[1]) / (2 * step)
             # entries far below the gradient scale sit inside the FD
             # subtraction noise (~1e-10 absolute at this step), so the
             # relative comparison floors the denominator at 1% of scale
@@ -266,7 +266,7 @@ def test_criterion_11_chain_monotone():
             ms[vary] = m
             mats = [rankcalc.transition_matrix(
                 RecodingPolicy.nonadaptive(x), model, 256, 16) for x in ms]
-            _, e = rankcalc.propagate(h0, mats)
+            _, e = propagate(h0, mats)
             worst = max(worst, prev - e)
             prev = e
     ok = worst <= 1e-10
@@ -377,7 +377,7 @@ def test_criterion_15_sim_vs_analytic():
                           M=16)
     pol = RecodingPolicy.nonadaptive(20)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), 256, 16)
-    _, want = rankcalc.propagate(rankcalc.RankDistribution.source(16), [P])
+    _, want = propagate(rankcalc.RankDistribution.source(16), [P])
     from batsnum.netmodel import Schedule
     sol = solvers.Solution(
         mode="nap", flow_ids=["f"], alpha=np.array([0.8]), eta=np.ones(1),

@@ -90,9 +90,11 @@ GE_LOSS = {"kind": "gilbert_elliott", "s_good": 1.0, "s_bad": 0.6,
     ("nap", "flows[0]", lambda d: d.update(flows=[5])),
     ("nap", "flows[0].links", lambda d: d["flows"][0].update(links=7)),
     ("nap", "solver", lambda d: d.update(solver=5)),
+    # written by export-config before the projected-gradient solver went
+    ("nap", "solver", lambda d: d["solver"].update(pd_steps=200)),
 ], ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
         "loss_str", "code_int", "seeds_int", "loss_model_list", "nodes_int",
-        "links_int", "flow_int", "flow_links_int", "solver_int"])
+        "links_int", "flow_int", "flow_links_int", "solver_int", "pd_steps"])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)
@@ -101,6 +103,64 @@ def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     assert cli.main(["solve", "--mode", mode, "--scenario", str(p),
                      "--outdir", str(tmp_path)]) == 2
     assert where in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """`cli.main`'s return code, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.fixture(scope="module")
+def tiny_solved(tmp_path_factory):
+    """Paths of the tiny scenario and of its NAP solution document."""
+    out = tmp_path_factory.mktemp("tiny")
+    scen = out / "tiny.json"
+    scen.write_text(json.dumps(TINY))
+    assert cli.main(["solve", "--mode", "nap", "--scenario", str(scen),
+                     "--outdir", str(out)]) == 0
+    return scen, out / "tiny-nap.json"
+
+
+SIM = ["simulate", "--scenario", "{scenario}", "--solution", "{solution}"]
+
+
+@pytest.mark.parametrize("argv,where", [
+    (SIM + ["--slots", "100", "--buffer-stride", "0"], "--buffer-stride"),
+    (SIM + ["--slots", "0"], "--slots"),
+    (SIM + ["--slots", "-5"], "--slots"),
+    (SIM + ["--slots", "100", "--seed", "-1"], "--seed"),
+    (SIM[:-1] + ["{tmp}/missing.json"], "missing.json"),
+    (SIM[:-1] + ["{tmp}/text.json"], "text.json"),
+    (SIM[:-1] + ["{tmp}/mode.json"], "mode.json"),
+    (SIM[:-1] + ["{tmp}/hops.json"], "hops.json"),
+    (["solve", "--mode", "nap", "--scenario", "{tmp}/text.json"], "text.json"),
+    (["solve", "--mode", "pd", "--scenario", "{scenario}"], "--mode"),
+], ids=["buffer_stride_0", "slots_0", "slots_negative", "seed_negative",
+        "solution_missing", "solution_not_json", "solution_no_flows",
+        "solution_other_hops", "scenario_not_json", "mode_pd"])
+def test_bad_cli_input_exits_2(tmp_path, tiny_solved, capsys, argv, where):
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "mode.json").write_text(json.dumps({"mode": 1}))
+    scenario, solution = tiny_solved
+    doc = json.loads(solution.read_text())
+    del doc["flows"][0]["hops"][-1]
+    (tmp_path / "hops.json").write_text(json.dumps(doc))
+    argv = [a.format(tmp=tmp_path, scenario=scenario, solution=solution)
+            for a in argv]
+    assert _exit_code(argv + ["--outdir", str(tmp_path)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_export_config_loads_back(tmp_path, tiny_path, capsys):
+    assert cli.main(["export-config", "--scenario", tiny_path]) == 0
+    exported = capsys.readouterr().out
+    p = tmp_path / "exported.json"
+    p.write_text(exported)
+    assert cli.main(["export-config", "--scenario", str(p)]) == 0
+    assert capsys.readouterr().out == exported
 
 
 def test_unknown_preset():

@@ -5,11 +5,11 @@ import pytest
 
 from batsnum import netmodel
 from batsnum.loss import LossSpec
-from batsnum.netmodel import (DecompositionError, Flow, Link, Network,
-                              Schedule, ValidationError,
-                              decompose_rate_vector,
+from batsnum.netmodel import (Flow, Link, Network, Schedule, ValidationError,
                               enumerate_feasible_schedules,
-                              max_weight_schedule, two_hop_interference)
+                              two_hop_interference)
+from oracles import (DecompositionError, decompose_rate_vector,
+                     max_weight_schedule)
 
 
 def line_network(n, caps=None):

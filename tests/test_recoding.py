@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from batsnum import loss, recoding
 from batsnum.recoding import (AlmostDeterministicSpec, RecodingPolicy,
-                              average_packets, average_packets_gradient,
-                              expand_almost_deterministic, optimize_hop,
-                              project_stochastic)
-from oracles import (almost_deterministic_exhaustive, optimize_hop_budget_loop,
-                     simplex_projection_qp)
+                              average_packets, expand_almost_deterministic,
+                              optimize_hop)
+from oracles import almost_deterministic_exhaustive, optimize_hop_budget_loop
 from batsnum import rankcalc
 
 
@@ -43,28 +41,6 @@ def test_average_packets_point_mass():
     assert got == pytest.approx(0.25 * 3 + 0.75 * 9)
 
 
-def test_average_packets_gradient():
-    M = 4
-    h = np.array([0.0, 0.5, 0.0, 0.3, 0.2])
-    pol = expand_almost_deterministic(np.array([0, 1, 2, 3, 4.0]), 8)
-    G = average_packets_gradient(pol, h)
-    assert np.allclose(G[2], 0.0)
-    assert np.allclose(G[:, 0], 0.0)
-    # the map is linear in the policy entries, so central differences on
-    # the raw functional sum_{r,m} m p(m|r) h(r) are exact
-    def raw(p):
-        cols = np.arange(p.shape[1])
-        return float(h @ (p @ cols))
-    eps = 1e-6
-    for (r, m) in [(1, 5), (3, 0), (4, 8)]:
-        p_hi, p_lo = pol.p.copy(), pol.p.copy()
-        p_hi[r, m] += eps
-        p_lo[r, m] -= eps
-        fd = (raw(p_hi) - raw(p_lo)) / (2 * eps)
-        assert G[r, m] == pytest.approx(fd, abs=1e-9)
-        assert G[r, m] == pytest.approx(m * h[r], abs=1e-12)
-
-
 def test_expand_integer_and_fractional():
     pol = expand_almost_deterministic(np.array([0, 3.0]), 6)
     assert pol.support(1) == [(3, 1.0)]
@@ -80,28 +56,6 @@ def test_expand_average_linearity(ts):
     pol = expand_almost_deterministic(t, 13)
     h = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
     assert average_packets(pol, h) == pytest.approx(float(h @ t), abs=1e-9)
-
-
-def test_project_stochastic_identity_and_symmetric():
-    p = np.array([[1.0, 0.0], [0.3, 0.7]])
-    assert np.allclose(project_stochastic(p), p)
-    out = project_stochastic(np.array([[1.0, 0.0], [0.6, 0.6]]))
-    assert np.allclose(out[1], [0.5, 0.5])
-
-
-def test_project_stochastic_rank0_pinned():
-    out = project_stochastic(np.array([[0.2, 0.9], [0.1, 0.4]]))
-    assert out[0, 0] == 1.0 and np.allclose(out[0, 1:], 0.0)
-
-
-@given(st.lists(st.floats(-2, 2), min_size=3, max_size=7),
-       st.integers(0, 1000))
-def test_project_matches_qp_oracle(row, seed):
-    rng = np.random.default_rng(seed)
-    v = np.array(row) + rng.normal(0, 0.1, len(row))
-    got = project_stochastic(np.vstack([np.zeros_like(v), v]))[1]
-    want = simplex_projection_qp(v)
-    assert np.allclose(got, want, atol=1e-8)
 
 
 def test_optimize_hop_zero_budget():

@@ -9,6 +9,7 @@ from batsnum.netmodel import Flow, Link, Network, Schedule
 from batsnum.recoding import RecodingPolicy
 from batsnum.sim import (BatchSource, SimulationInputError, build_tdma_frame,
                          buffer_stability, recode_batch, run_simulation)
+from oracles import propagate
 
 
 def single_link_scenario(eps=0.2, cap=1.0, M=16):
@@ -22,7 +23,7 @@ def single_link_scenario(eps=0.2, cap=1.0, M=16):
 def manual_solution(sc, m, alpha, rate=None):
     pol = RecodingPolicy.nonadaptive(m)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), sc.q, sc.M)
-    _, e = rankcalc.propagate(rankcalc.RankDistribution.source(sc.M), [P])
+    _, e = propagate(rankcalc.RankDistribution.source(sc.M), [P])
     rate = rate if rate is not None else sc.network.links[0].capacity
     return solvers.Solution(
         mode="nap", flow_ids=["f1"], alpha=np.array([alpha]),
@@ -90,17 +91,6 @@ def _point_mass_rows(M, m):
     return p
 
 
-def test_systematic_recode_subset_of_row_space():
-    rng = np.random.default_rng(1)
-    basis, r = ffmat.row_reduce(ffmat.random_matrix(10, 16, rng))
-    pol = RecodingPolicy.nonadaptive(min(6, r))
-    rows = recode_batch(basis, pol, r, 256, rng, mode="systematic")
-    assert rows.shape[0] == 6
-    assert ffmat.matrix_rank(rows) == 6  # independent received rows resent
-    stacked = np.vstack([basis, rows])
-    assert ffmat.matrix_rank(stacked) == r  # still inside the row space
-
-
 def test_uniform_recode_downstream_rank_matches_transition_row():
     # rank-16 batch, 20 recoded, independent 0.2 loss; empirical next-rank
     # distribution against the analytic transition row
@@ -126,16 +116,11 @@ def test_lossless_single_link_delivers_full_rank():
     sol = manual_solution(sc, m=16, alpha=1 / 16)
     rep = run_simulation(sc, sol, slots=20_000, rng_seed=5)
     assert rep.link_stats["e1"]["sent"] == rep.link_stats["e1"]["received"]
-    # uniform recoding keeps a ~1/q rank-deficiency even without loss;
-    # systematic recoding resends the originals and is exactly full rank
+    # uniform recoding keeps a ~1/q rank-deficiency even without loss
     emp = rep.empirical_rank_distribution("f1")
     assert float(emp @ np.arange(17)) == pytest.approx(
         sol.expected_rank[0], abs=0.01)
     assert rep.completed["f1"] <= rep.emitted["f1"]
-    rep_sys = run_simulation(sc, sol, slots=20_000, rng_seed=5,
-                             recode_mode="systematic")
-    hist = rep_sys.rank_hist["f1"]
-    assert hist[16] == hist.sum() > 0
 
 
 def test_single_link_matches_propagate():
@@ -203,7 +188,7 @@ def test_ge_chain_advances_per_packet():
                           M=16)
     pol = RecodingPolicy.nonadaptive(20)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), 256, 16)
-    _, e = rankcalc.propagate(rankcalc.RankDistribution.source(16), [P])
+    _, e = propagate(rankcalc.RankDistribution.source(16), [P])
     sol = solvers.Solution(
         mode="nap", flow_ids=["f1"], alpha=np.array([0.04]), eta=np.ones(1),
         policies=[[pol]], mbar=[[20.0]], expected_rank=np.array([e]),

@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from oracles import local_search_reference
+from oracles import local_search_reference, propagate
 
 import batsnum
-from batsnum import rankcalc, solvers
+from batsnum import rankcalc
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
 from batsnum.solvers import (Scenario, Solution, SolverConfig,
                              flow_subproblem_local_search,
-                             primal_dual_adaptive, solve_fixed_policy,
-                             solve_nap, solve_single_flow_all_collision,
+                             solve_fixed_policy, solve_nap,
+                             solve_single_flow_all_collision,
                              solve_single_flow_no_collision, solve_up,
-                             two_step_solve, utility_ratio)
+                             utility_ratio)
 
 
 def make_line_scenario(n_links, eps=0.2, caps=None, flows=None, M=16,
@@ -54,7 +54,7 @@ def test_fixed_policy_single_link():
     res = solve_fixed_policy(sc, policies)
     assert res.alpha[0] == pytest.approx(1 / 20, abs=1e-9)
     P = rankcalc.transition_matrix(policies[0][0], sc.loss_model("e1"), 256, 16)
-    _, e = rankcalc.propagate(rankcalc.RankDistribution.source(16), [P])
+    _, e = propagate(rankcalc.RankDistribution.source(16), [P])
     assert res.utilities[0] == pytest.approx(math.log(e / 20), abs=1e-9)
 
 
@@ -329,66 +329,3 @@ def test_nap_skips_candidates_with_an_idle_flow():
     sol = solve_nap(sc)
     assert sol.constraint_violation(sc) <= 1e-9
     assert sol.u_total <= sol.u_tilde + 1e-9
-
-
-def test_primal_dual_small():
-    sc = make_line_scenario(2, dual_iters=300, pd_steps=40)
-    nap = solve_nap(sc)
-    two = two_step_solve(sc, nap_solution=nap)
-    pd = primal_dual_adaptive(sc, init_solution=two)
-    assert pd.u_total >= two.u_total - 1e-9
-    for pols in pd.policies:
-        for pol in pols:
-            assert pol.p[0, 0] == pytest.approx(1.0)
-            assert np.allclose(pol.p.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_ratio_gradient_matches_directional_derivative():
-    # the priced-ratio gradient (quotient rule with downstream chain
-    # terms) against central differences along feasible tangent
-    # directions from an interior policy
-    sc = make_line_scenario(2, M=6)
-    flow = sc.flows[0]
-    cols = 13
-    rng = np.random.default_rng(17)
-    pols = []
-    for _ in flow.links:
-        p = rng.uniform(0.2, 1.0, size=(7, cols))
-        p[0] = 0.0
-        p[0, 0] = 1.0
-        p[1:] /= p[1:].sum(axis=1, keepdims=True)
-        pols.append(RecodingPolicy.adaptive(p))
-    lam = np.array([0.7, 1.3])
-    grads, mbar, E_val, D_val = solvers._ratio_gradients(sc, flow, pols, lam)
-
-    def ratio(policies):
-        mb, _, er = solvers._policy_mbar_and_rank(sc, flow, policies)
-        return er / float(lam @ np.array(mb))
-
-    for hop in range(2):
-        v = rng.normal(size=(7, cols))
-        v[0] = 0.0
-        v -= v.mean(axis=1, keepdims=True)  # tangent: zero row sums
-        v[0] = 0.0
-        step = 1e-6
-        hi = [RecodingPolicy.adaptive(p.p + step * v) if j == hop else p
-              for j, p in enumerate(pols)]
-        lo = [RecodingPolicy.adaptive(p.p - step * v) if j == hop else p
-              for j, p in enumerate(pols)]
-        fd = (ratio(hi) - ratio(lo)) / (2 * step)
-        analytic = float(np.sum(grads[hop] * v))
-        assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-9)
-    # first-order ascent along the projected direction from the interior
-    from batsnum.recoding import project_stochastic
-    beta = 1e-6
-    lifted = [RecodingPolicy.adaptive(project_stochastic(p.p + beta * g))
-              for p, g in zip(pols, grads)]
-    assert ratio(lifted) >= ratio(pols) - 1e-12
-
-
-def test_pd_reverts_on_bad_steps():
-    sc = make_line_scenario(2, dual_iters=200, pd_steps=3, pd_step_a=50.0)
-    nap = solve_nap(sc)
-    two = two_step_solve(sc, nap_solution=nap)
-    pd = primal_dual_adaptive(sc, init_solution=two)
-    assert pd.u_total >= two.u_total - 1e-9
