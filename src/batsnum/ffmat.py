@@ -120,16 +120,6 @@ def int_rows(A):
             for i in range(0, len(data), cols)]
 
 
-def _basis_of(A, q):
-    _check_field(q)
-    A = np.asarray(A, dtype=np.uint8)
-    basis = RowBasis()
-    for row in int_rows(A) if A.size else ():
-        if basis.absorb(row) and basis.rank == A.shape[1]:
-            break
-    return A, basis
-
-
 def row_reduce(A, q=256):
     """Row-echelon reduction; returns (basis rows, rank).
 
@@ -137,10 +127,10 @@ def row_reduce(A, q=256):
     independent (not necessarily the original rows); each row's leading
     entry is 1 and the rows are ordered by their leading column.
     """
-    A, basis = _basis_of(A, q)
+    _check_field(q)
+    A = np.asarray(A, dtype=np.uint8)
+    basis = RowBasis()
+    for row in int_rows(A) if A.size else ():
+        if basis.absorb(row) and basis.rank == A.shape[1]:
+            break
     return basis.to_array(A.shape[1] if A.ndim == 2 else 0), basis.rank
-
-
-def matrix_rank(A, q=256):
-    """Rank via Gaussian elimination; empty matrices have rank 0."""
-    return _basis_of(A, q)[1].rank

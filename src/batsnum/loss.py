@@ -156,34 +156,6 @@ def independent_loss_model(epsilon, m_max):
     return BatchLossModel(m_max=m_max, q_table=tab)
 
 
-def _ge_burst_counts(params, m, n, rng):
-    """Received counts for n independent m-packet bursts (run-length sampling).
-
-    Equivalent in distribution to stepping the chain packet by packet:
-    within a run the state is constant so arrivals are binomial, and run
-    lengths are geometric in the leave probability.
-    """
-    pi_g, _ = params.steady_state()
-    out = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        good = rng.random() < pi_g
-        left = m
-        recv = 0
-        while left > 0:
-            p_leave = params.p_gb if good else params.p_bg
-            run = int(rng.geometric(p_leave))
-            use = min(run, left)
-            succ = params.s_good if good else params.s_bad
-            if succ >= 1.0:
-                recv += use
-            elif succ > 0.0:
-                recv += int(rng.binomial(use, succ))
-            left -= use
-            good = not good
-        out[s] = recv
-    return out
-
-
 def _ge_paths(params, n, length, rng):
     """n arrival paths of `length` packets each, states carried within a path."""
     pi_g, _ = params.steady_state()
@@ -208,19 +180,15 @@ def _bernoulli_paths(epsilon, n, length, rng):
     return (rng.random((n, length)) < (1.0 - epsilon)).astype(np.int8)
 
 
-def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0,
-                         stationarize=False):
-    """Estimate q(r|m) by simulating packet bursts.
+def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0):
+    """Estimate q(r|m) from the cyclic windows of simulated packet paths.
 
-    Default: for each m, `samples` independent m-packet bursts (channel
-    state carried within a burst, drawn from the steady state across
-    bursts) and q(.|m) is the per-m histogram.
-
-    stationarize=True instead samples `samples` paths of length m_max and
-    histograms every cyclic window of length m per path. The resulting
-    empirical process is shift-invariant by construction, so the derived
-    per-hop expected-rank curves are exactly monotone and concave; use
-    this for models that feed the per-hop recoding optimizer.
+    Samples `samples` paths of m_max packets each (channel state carried
+    within a path, drawn from the steady state across paths) and
+    histograms every cyclic window of length m per path. The empirical
+    process is shift-invariant by construction, so the per-hop
+    expected-rank curves it yields are exactly monotone and concave, as
+    the per-hop recoding optimizer needs.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -229,68 +197,15 @@ def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0,
     rng = np.random.default_rng(rng_seed)
     tab = np.zeros((m_max + 1, m_max + 1))
     tab[0, 0] = 1.0
-    if stationarize:
-        if spec.kind == "independent":
-            Z = _bernoulli_paths(spec.epsilon, samples, m_max, rng)
-        else:
-            Z = _ge_paths(spec.ge, samples, m_max, rng)
-        ZZ = np.concatenate([Z, Z], axis=1)
-        C = np.zeros((samples, 2 * m_max + 1), dtype=np.int64)
-        np.cumsum(ZZ, axis=1, out=C[:, 1:])
-        offs = np.arange(m_max)
-        for t in range(1, m_max + 1):
-            sums = C[:, offs + t] - C[:, offs]
-            tab[t, :t + 1] = np.bincount(sums.ravel(), minlength=t + 1) / sums.size
-        return BatchLossModel(m_max=m_max, q_table=tab)
-    for m in range(1, m_max + 1):
-        if spec.kind == "independent":
-            counts = rng.binomial(m, 1.0 - spec.epsilon, size=samples)
-        else:
-            counts = _ge_burst_counts(spec.ge, m, samples, rng)
-        tab[m, :m + 1] = np.bincount(counts, minlength=m + 1) / samples
+    if spec.kind == "independent":
+        Z = _bernoulli_paths(spec.epsilon, samples, m_max, rng)
+    else:
+        Z = _ge_paths(spec.ge, samples, m_max, rng)
+    ZZ = np.concatenate([Z, Z], axis=1)
+    C = np.zeros((samples, 2 * m_max + 1), dtype=np.int64)
+    np.cumsum(ZZ, axis=1, out=C[:, 1:])
+    offs = np.arange(m_max)
+    for t in range(1, m_max + 1):
+        sums = C[:, offs + t] - C[:, offs]
+        tab[t, :t + 1] = np.bincount(sums.ravel(), minlength=t + 1) / sums.size
     return BatchLossModel(m_max=m_max, q_table=tab)
-
-
-def complementary_cdf(model, i, t):
-    """F(i|t) = P(at least i of t transmitted packets arrive)."""
-    if not 0 <= t <= model.m_max:
-        raise ParameterError(f"t={t} outside [0, {model.m_max}]")
-    if i <= 0:
-        return 1.0
-    if i > t:
-        return 0.0
-    return float(model.q_table[t, i:].sum())
-
-
-@dataclass
-class MonotoneConcaveReport:
-    monotone: bool
-    concave: bool
-    worst_monotone_violation: float
-    worst_concavity_violation: float
-
-
-def check_monotone_concave(model, M, q_field, tol=1e-6):
-    """Test the per-hop expected-rank curves E_r(t) for every rank r <= M.
-
-    Monotone: E_r(t+1) >= E_r(t) - tol. Concave: second differences
-    <= tol. Reports the worst signed violations (positive = violated);
-    empirical models are sampling-noisy, so the magnitudes matter more
-    than the booleans.
-    """
-    from . import rankcalc
-
-    E1 = rankcalc.expected_rank_table(model, q_field, M)
-    worst_mono = 0.0
-    worst_conc = 0.0
-    for r in range(1, M + 1):
-        d1 = np.diff(E1[r])
-        worst_mono = max(worst_mono, float((-d1).max()))
-        d2 = np.diff(d1)
-        worst_conc = max(worst_conc, float(d2.max()))
-    return MonotoneConcaveReport(
-        monotone=worst_mono <= tol,
-        concave=worst_conc <= tol,
-        worst_monotone_violation=worst_mono,
-        worst_concavity_violation=worst_conc,
-    )

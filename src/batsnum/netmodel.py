@@ -122,15 +122,6 @@ class Schedule:
 
     active: tuple
 
-    def is_feasible(self, network):
-        for i, l in enumerate(network.links):
-            if not self.active[i]:
-                continue
-            for other in network.interference[l.id]:
-                if self.active[network.link_index(other)]:
-                    return False
-        return True
-
 
 def two_hop_interference(network):
     """Conflict sets where links within two hops of each other collide.

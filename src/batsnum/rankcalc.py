@@ -1,10 +1,8 @@
 """Rank-distribution calculus for batched linear coding over lossy hops.
 
 Core quantities: the rank pmf of uniformly random matrices over GF(q),
-the per-hop expected-rank curves E_r(t), hop transition matrices for a
-recoding policy under a batch-wise loss model, the chain-rule gradient
-of the destination expected rank with respect to a hop's policy, and
-the cut-set bound.
+the per-hop expected-rank curves E_r(t), and hop transition matrices
+for a recoding policy under a batch-wise loss model.
 """
 
 from __future__ import annotations
@@ -42,30 +40,12 @@ class RankDistribution:
         return RankDistribution(M=M, h=h)
 
 
-def log_prob_rank(i, k, j, q):
-    """log P(rank of an i x k uniform matrix over GF(q) equals j)."""
-    if j > min(i, k) or j < 0:
-        return -math.inf
-    lq = math.log(q)
-    s = -i * k * lq
-    for t in range(j):
-        s += i * lq + math.log1p(-q ** (t - i))
-        s += k * lq + math.log1p(-q ** (t - k))
-        s -= j * lq + math.log1p(-q ** (t - j))
-    return s
-
-
-def prob_rank(i, k, j, q):
-    """P(rank = j) for an i x k uniform random matrix over GF(q)."""
-    lz = log_prob_rank(i, k, j, q)
-    return 0.0 if lz == -math.inf else math.exp(lz)
-
-
 _rank_pmf_cache: dict = {}
 
 
 def rank_pmf_table(M, k_max, q):
-    """Z[i, k, j] = prob_rank(i, k, j, q) for i, j <= M and k <= k_max."""
+    """Z[i, k, j] = P(an i x k uniform matrix over GF(q) has rank j) for
+    i, j <= M and k <= k_max."""
     key = (M, k_max, q)
     got = _rank_pmf_cache.get(key)
     if got is not None:
@@ -155,40 +135,3 @@ def almost_deterministic_transition(t, model, q, M):
     r = np.arange(M + 1)
     hi = np.minimum(lo + 1, model.m_max)
     return (1.0 - frac)[:, None] * W[lo, r] + frac[:, None] * W[hi, r]
-
-
-def chain_gradient(h0, path_matrices, hop_index, model, q, m_cols):
-    """Gradient of the expected destination rank h0 . P_1 ... P_L . (0..M)
-    with respect to hop `hop_index`'s policy.
-
-    Entry (r, m) is the derivative with respect to p(m|r). The hop's
-    transition matrix is linear in its policy, so the derivative of P at
-    (i, j) w.r.t. p(m|r) is W[m, i, j] for i = r and 0 elsewhere; the
-    chain collapses to left[r] * (W[m] @ right)[r].
-    """
-    h = np.asarray(h0.h if isinstance(h0, RankDistribution) else h0, dtype=float)
-    M = len(h) - 1
-    L = len(path_matrices)
-    if not 0 <= hop_index < L:
-        raise ValueError(f"hop_index {hop_index} outside [0, {L})")
-    left = h.copy()
-    for P in path_matrices[:hop_index]:
-        left = left @ P
-    right = np.arange(M + 1, dtype=float)
-    for P in reversed(path_matrices[hop_index + 1:]):
-        right = P @ right
-    W = hop_tables(model, q, M)
-    if m_cols > W.shape[0]:
-        raise ValueError(f"m_cols {m_cols} exceeds model support {W.shape[0]}")
-    T = W[:m_cols] @ right            # (m_cols, M+1)
-    return left[:, None] * T.T        # (M+1, m_cols)
-
-
-def cutset_bound(M, per_edge):
-    """min over the batch size and per-edge expected deliveries m̄(1-eps)."""
-    bound = float(M)
-    for m_bar, eps in per_edge:
-        if m_bar < 0 or not 0.0 <= eps < 1.0:
-            raise ValueError(f"bad edge parameters ({m_bar}, {eps})")
-        bound = min(bound, m_bar * (1.0 - eps))
-    return bound

@@ -62,12 +62,6 @@ class RecodingPolicy:
         row = self.p[r]
         return [(int(m), float(row[m])) for m in np.flatnonzero(row > 0)]
 
-    def support_columns(self):
-        """Number of transmit-count columns (max m + 1)."""
-        if self.kind == "nonadaptive":
-            return self.m + 1
-        return self.p.shape[1]
-
     def sample_count(self, r, rng):
         """Transmit count for rank r, drawn as `rng.choice(len(row), p=row)`
         draws it, from the row's CDF built once per policy."""

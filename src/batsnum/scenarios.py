@@ -102,6 +102,15 @@ def _typed(value, kind, path):
     return value
 
 
+def _section(doc, key, known):
+    """doc[key] (default {}) as a dict whose keys are all in `known`."""
+    section = _typed(doc.get(key, {}), dict, key)
+    bad = set(section) - set(known)
+    if bad:
+        raise ValidationError(f"{key}: unknown fields {sorted(bad)}")
+    return section
+
+
 def _loss_spec(doc, path):
     kind = _typed(doc, dict, path).get("kind")
     if kind not in ("independent", "gilbert_elliott"):
@@ -147,7 +156,7 @@ def scenario_from_config(doc):
     else:
         raise ValidationError("interference must be two-hop|all|none|mapping")
     net.__post_init__()  # re-validate with the final interference sets
-    code = _typed(doc.get("code", {}), dict, "code")
+    code = _section(doc, "code", ("field_size", "batch_size", "m0_factor"))
     M = _number(code.get("batch_size", 16), "code.batch_size", int, 1)
     flows = []
     for i, fd in enumerate(_typed(doc["flows"], list, "flows")):
@@ -164,20 +173,16 @@ def scenario_from_config(doc):
         except ValidationError as e:
             raise ValidationError(f"{path}: {e}") from None
         flows.append(flow)
-    seeds = _typed(doc.get("seeds", {}), dict, "seeds")
-    loss_doc = _typed(doc.get("loss_model", {}), dict, "loss_model")
+    seeds = _section(doc, "seeds", ("loss_model",))
+    loss_doc = _section(doc, "loss_model", ("m_max", "samples"))
     opts = LossModelOptions(
         m_max=_number(loss_doc.get("m_max", 100), "loss_model.m_max", int, 1),
         samples=_number(loss_doc.get("samples", 10000), "loss_model.samples",
                         int, 1),
         seed=_number(seeds.get("loss_model", 1), "seeds.loss_model", int),
-        stationarize=bool(loss_doc.get("stationarize", True)),
     )
-    solver_doc = _typed(doc.get("solver", {}), dict, "solver")
     known = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
-    bad = set(solver_doc) - set(known)
-    if bad:
-        raise ValidationError(f"solver: unknown fields {sorted(bad)}")
+    solver_doc = _section(doc, "solver", known)
     solver = SolverConfig(**{k: _number(v, f"solver.{k}", known[k])
                              for k, v in solver_doc.items()})
     return Scenario(
@@ -214,8 +219,7 @@ def scenario_to_config(scenario):
         "code": {"field_size": scenario.q, "batch_size": scenario.M,
                  "m0_factor": scenario.m0 // scenario.M},
         "loss_model": {"m_max": scenario.loss_options.m_max,
-                       "samples": scenario.loss_options.samples,
-                       "stationarize": scenario.loss_options.stationarize},
+                       "samples": scenario.loss_options.samples},
         "seeds": {"loss_model": scenario.loss_options.seed},
         "solver": dataclasses.asdict(scenario.solver),
     }

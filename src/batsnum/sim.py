@@ -38,11 +38,6 @@ class SimReport:
     link_innovation: dict    # link id -> {"innovative": n, "redundant": n}
     died: dict               # flow id -> per-hop batches that vanished there
 
-    def empirical_rank_distribution(self, flow_id):
-        counts = self.rank_hist[flow_id]
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
     def to_json_dict(self):
         return {
             "slots": self.slots,

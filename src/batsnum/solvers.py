@@ -33,7 +33,6 @@ class LossModelOptions:
     m_max: int = 100          # support of empirically estimated models
     samples: int = 10000
     seed: int = 1
-    stationarize: bool = True  # exact-concavity estimator for bursty links
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class Scenario:
         else:
             ge = link.loss.ge
             key = ("ge", ge.s_good, ge.s_bad, ge.p_gb, ge.p_bg,
-                   opts.m_max, opts.samples, opts.seed, opts.stationarize)
+                   opts.m_max, opts.samples, opts.seed)
         model = _GLOBAL_MODEL_CACHE.get(key)
         if model is None:
             if link.loss.kind == "independent":
@@ -98,7 +97,7 @@ class Scenario:
             else:
                 model = empirical_loss_model(
                     link.loss, m_max=opts.m_max, samples=opts.samples,
-                    rng_seed=opts.seed, stationarize=opts.stationarize)
+                    rng_seed=opts.seed)
             _GLOBAL_MODEL_CACHE[key] = model
         self._models[link_id] = model
         return model
@@ -755,39 +754,6 @@ def solve_nap(scenario):
          "rounds": rounds, "columns": [len(kk) for kk in keys],
          "bound": bound,
          "duals": [float(x) for x in chosen.duals]})
-
-
-# ---------------------------------------------------------------------------
-# single-flow special cases
-
-
-def solve_single_flow_no_collision(scenario, flow, c):
-    """Equal per-link rate c, no interference: equal counts, ratio sweep.
-
-    Maximizes c E[h] / m over integer m (ties to the smaller m); the
-    batch rate is c / m*.
-    """
-    caps = scenario.flow_caps(flow)
-    W_list = [scenario.hop_tables(e) for e in flow.links]
-    arange = np.arange(scenario.M + 1, dtype=float)
-    best_m, best_val = None, -np.inf
-    for m in range(1, int(caps.min()) + 1):
-        h = rankcalc.RankDistribution.source(scenario.M).h
-        for W in W_list:
-            h = h @ W[m]
-        val = c * float(h @ arange) / m
-        if val > best_val + 1e-12:
-            best_m, best_val = m, val
-    return c / best_m, best_m, best_val
-
-
-def solve_single_flow_all_collision(scenario, flow, c):
-    """One link at a time: maximize c E[h] / sum_e m_e via joint local search."""
-    lam = np.zeros(len(scenario.network.links))
-    lam[scenario.flow_search(flow).idx] = 1.0
-    res = flow_subproblem_local_search(scenario, flow, lam)
-    total = sum(res.m)
-    return c / total, res.m, c * res.objective
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,20 @@
 
 The reference implementations are deliberately brute force and share no
 code with the package paths they check. The helpers below them are read
-by tests only, never by a package path: `systematic_transition_matrix`
-(the hop transition of systematic recoding, which the simulator does not
-implement), `expected_rank_gradient`, the GF(256) scalar operations
-`gf_mul` and `gf_inv`, `expected_rank_after_hop` and `propagate` over
-the rank calculus, and `max_weight_schedule` and `decompose_rate_vector`
-(with `DecompositionError`) over the enumerated schedules.
+by tests only, never by a package path: `expected_rank_gradient` with
+`chain_gradient` and `support_columns`, the closed-form rank pmf
+`prob_rank` and `log_prob_rank`, `matrix_rank`, `cutset_bound`,
+`check_monotone_concave` over a loss model's expected-rank curves,
+`empirical_rank_distribution` of a simulation report, the GF(256)
+scalar operations `gf_mul` and `gf_inv`, `expected_rank_after_hop` and
+`propagate` over the rank calculus, and `schedule_is_feasible`,
+`max_weight_schedule` and `decompose_rate_vector` (with
+`DecompositionError`) over the schedules.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -262,52 +266,125 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
                      h_out=h_out)
 
 
-def systematic_transition_matrix(policy, model, q, M, samples=2000, rng_seed=0):
-    """Monte-Carlo hop transition matrix for systematic recoding.
+def support_columns(policy):
+    """Number of transmit-count columns of a recoding policy (max m + 1)."""
+    if policy.kind == "nonadaptive":
+        return policy.m + 1
+    return policy.p.shape[1]
 
-    A rank-r batch is represented by r independent coefficient vectors;
-    the sender transmits those vectors first (random combinations beyond
-    r), in a uniformly random order, and the arrival count is drawn from
-    the loss model with a uniformly random surviving subset.
+
+def chain_gradient(h0, path_matrices, hop_index, model, q, m_cols):
+    """Gradient of the expected destination rank h0 . P_1 ... P_L . (0..M)
+    with respect to hop `hop_index`'s policy.
+
+    Entry (r, m) is the derivative with respect to p(m|r). The hop's
+    transition matrix is linear in its policy, so the derivative of P at
+    (i, j) w.r.t. p(m|r) is W[m, i, j] for i = r and 0 elsewhere; the
+    chain collapses to left[r] * (W[m] @ right)[r].
     """
-    rng = np.random.default_rng(rng_seed)
-    P = np.zeros((M + 1, M + 1))
-    P[0, 0] = 1.0
-    for r in range(1, M + 1):
-        counts = np.zeros(M + 1)
-        ms = [m for m, p in policy.support(r) if p > 0]
-        ps = np.array([p for m, p in policy.support(r) if p > 0])
-        ps = ps / ps.sum()
-        if max(ms) > model.m_max:
-            raise ValueError(f"policy sends {max(ms)} > model m_max {model.m_max}")
-        for _ in range(samples):
-            m = int(rng.choice(ms, p=ps)) if len(ms) > 1 else ms[0]
-            if m == 0:
-                counts[0] += 1
-                continue
-            k = int(rng.choice(model.m_max + 1, p=model.q_table[m]))
-            if k == 0:
-                counts[0] += 1
-                continue
-            basis = np.zeros((r, M), dtype=np.uint8)
-            basis[:, :r] = np.eye(r, dtype=np.uint8)
-            n_sys = min(m, r)
-            sent = np.zeros((m, M), dtype=np.uint8)
-            sent[:n_sys] = basis[:n_sys]
-            if m > r:
-                coef = ffmat.random_matrix(m - r, r, rng, q=q)
-                sent[r:] = ffmat.gf_matmul(coef, basis, q=q)
-            order = rng.permutation(m)
-            got = sent[order[:k]]
-            counts[ffmat.matrix_rank(got, q=q)] += 1
-        P[r] = counts / counts.sum()
-    return P
+    h = np.asarray(h0.h if isinstance(h0, rankcalc.RankDistribution) else h0,
+                   dtype=float)
+    M = len(h) - 1
+    L = len(path_matrices)
+    if not 0 <= hop_index < L:
+        raise ValueError(f"hop_index {hop_index} outside [0, {L})")
+    left = h.copy()
+    for P in path_matrices[:hop_index]:
+        left = left @ P
+    right = np.arange(M + 1, dtype=float)
+    for P in reversed(path_matrices[hop_index + 1:]):
+        right = P @ right
+    W = rankcalc.hop_tables(model, q, M)
+    if m_cols > W.shape[0]:
+        raise ValueError(f"m_cols {m_cols} exceeds model support {W.shape[0]}")
+    T = W[:m_cols] @ right            # (m_cols, M+1)
+    return left[:, None] * T.T        # (M+1, m_cols)
 
 
 def expected_rank_gradient(h0, path_matrices, hop_index, policy, model, q):
     """d E[h_L] / d p(m|r) for the policy at `hop_index` (0-based)."""
-    m_cols = policy.support_columns()
-    return rankcalc.chain_gradient(h0, path_matrices, hop_index, model, q, m_cols)
+    return chain_gradient(h0, path_matrices, hop_index, model, q,
+                          support_columns(policy))
+
+
+def log_prob_rank(i, k, j, q):
+    """log P(rank of an i x k uniform matrix over GF(q) equals j)."""
+    if j > min(i, k) or j < 0:
+        return -math.inf
+    lq = math.log(q)
+    s = -i * k * lq
+    for t in range(j):
+        s += i * lq + math.log1p(-q ** (t - i))
+        s += k * lq + math.log1p(-q ** (t - k))
+        s -= j * lq + math.log1p(-q ** (t - j))
+    return s
+
+
+def prob_rank(i, k, j, q):
+    """P(rank = j) for an i x k uniform random matrix over GF(q)."""
+    lz = log_prob_rank(i, k, j, q)
+    return 0.0 if lz == -math.inf else math.exp(lz)
+
+
+def matrix_rank(A, q=256):
+    """Rank over GF(q) by `RowBasis`, without building `row_reduce`'s basis
+    rows (tests call it 10^5 times in a loop); empty matrices have rank 0."""
+    _check_field(q)
+    A = np.asarray(A, dtype=np.uint8)
+    basis = ffmat.RowBasis()
+    for row in ffmat.int_rows(A) if A.size else ():
+        if basis.absorb(row) and basis.rank == A.shape[1]:
+            break
+    return basis.rank
+
+
+def cutset_bound(M, per_edge):
+    """min over the batch size and per-edge expected deliveries m̄(1-eps)."""
+    bound = float(M)
+    for m_bar, eps in per_edge:
+        if m_bar < 0 or not 0.0 <= eps < 1.0:
+            raise ValueError(f"bad edge parameters ({m_bar}, {eps})")
+        bound = min(bound, m_bar * (1.0 - eps))
+    return bound
+
+
+@dataclass
+class MonotoneConcaveReport:
+    monotone: bool
+    concave: bool
+    worst_monotone_violation: float
+    worst_concavity_violation: float
+
+
+def check_monotone_concave(model, M, q_field, tol=1e-6):
+    """Test the per-hop expected-rank curves E_r(t) for every rank r <= M.
+
+    Monotone: E_r(t+1) >= E_r(t) - tol. Concave: second differences
+    <= tol. Reports the worst signed violations (positive = violated);
+    empirical models are sampling-noisy, so the magnitudes matter more
+    than the booleans.
+    """
+    E1 = rankcalc.expected_rank_table(model, q_field, M)
+    worst_mono = 0.0
+    worst_conc = 0.0
+    for r in range(1, M + 1):
+        d1 = np.diff(E1[r])
+        worst_mono = max(worst_mono, float((-d1).max()))
+        d2 = np.diff(d1)
+        worst_conc = max(worst_conc, float(d2.max()))
+    return MonotoneConcaveReport(
+        monotone=worst_mono <= tol,
+        concave=worst_conc <= tol,
+        worst_monotone_violation=worst_mono,
+        worst_concavity_violation=worst_conc,
+    )
+
+
+def empirical_rank_distribution(report, flow_id):
+    """A simulated flow's delivered-rank histogram, normalized."""
+    counts = report.rank_hist[flow_id]
+    total = counts.sum()
+    return counts / total if total > 0 else counts
 
 
 def gf_mul(a, b, q=256):
@@ -347,6 +424,17 @@ def propagate(h0, path_matrices):
             raise ValueError(f"transition matrix shape {P.shape} != {(M+1, M+1)}")
         h = h @ P
     return h, float(h @ np.arange(M + 1))
+
+
+def schedule_is_feasible(schedule, network):
+    """No two active links of `schedule` interfere."""
+    for i, l in enumerate(network.links):
+        if not schedule.active[i]:
+            continue
+        for other in network.interference[l.id]:
+            if schedule.active[network.link_index(other)]:
+                return False
+    return True
 
 
 def max_weight_schedule(network, weights):

@@ -92,9 +92,18 @@ GE_LOSS = {"kind": "gilbert_elliott", "s_good": 1.0, "s_bad": 0.6,
     ("nap", "solver", lambda d: d.update(solver=5)),
     # written by export-config before the projected-gradient solver went
     ("nap", "solver", lambda d: d["solver"].update(pd_steps=200)),
+    # written by export-config while two bursty-loss estimators existed
+    ("nap", "loss_model", lambda d: d.update(loss_model={"stationarize": True})),
+    ("nap", "loss_model",
+     lambda d: d.update(loss_model={"stationarize": False})),
+    ("nap", "loss_model", lambda d: d.update(loss_model={"sample": 100})),
+    ("nap", "code", lambda d: d["code"].update(fieldsize=2)),
+    ("nap", "seeds", lambda d: d.update(seeds={"loss": 3})),
 ], ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
         "loss_str", "code_int", "seeds_int", "loss_model_list", "nodes_int",
-        "links_int", "flow_int", "flow_links_int", "solver_int", "pd_steps"])
+        "links_int", "flow_int", "flow_links_int", "solver_int", "pd_steps",
+        "loss_model_stationarize", "loss_model_stationarize_false",
+        "loss_model_typo", "code_typo", "seeds_typo"])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)

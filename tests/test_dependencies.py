@@ -37,3 +37,52 @@ def test_sources_import_only_numpy_and_scipy_linalg():
     extra = {f"{p.name}: {name}" for p in sources
              for name in third_party_imports(p) - ALLOWED}
     assert not extra, sorted(extra)
+
+
+ROOT = SRC.parent.parent
+READERS = ("src/batsnum", "scripts", "benchmark")
+
+
+def _uses(tree):
+    """(name, line) for every identifier and every string constant that
+    names something, bare or dotted as the benchmark tracer writes it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.replace(".", "").replace("_", "").isalnum()):
+            yield node.value.rpartition(".")[2], node.lineno
+
+
+def test_every_package_name_has_a_reader():
+    """A `def` or `class` in `src/batsnum/` that nothing in the package, the
+    scripts or the benchmark names outside its own body is read by tests
+    only; it belongs in `tests/oracles.py` or nowhere. Dunder methods are
+    called by Python, and a module that defines a function of the same
+    name reads its own, not the package's."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for d in READERS for p in sorted((ROOT / d).glob("*.py"))}
+    own = {p: {n.name for n in t.body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+           for p, t in trees.items()}
+    uses = {p: list(_uses(t)) for p, t in trees.items()}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            read = any(
+                used == name and not node.lineno <= line <= node.end_lineno
+                for p, found in uses.items()
+                if p == path or name not in own[p]
+                for used, line in found)
+            if not read:
+                unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, unread

