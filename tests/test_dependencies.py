@@ -1,9 +1,12 @@
-"""The package's runtime dependencies are numpy and scipy.linalg only.
+"""The package imports only numpy and scipy.linalg, and ships no name
+that only tests read.
 
 Every import in `src/batsnum/*.py` is read with `ast`; standard-library
 and package-relative imports are allowed, and any other import must be
 one of `ALLOWED`. Test oracles may import more (scipy.optimize, for
-one), so only the package sources are checked.
+one), so only the package sources are checked. Every `def` and `class`
+there must be named somewhere in the package, the scripts or the
+benchmark.
 """
 
 import ast
