@@ -89,7 +89,6 @@ class Flow:
     id: str
     links: tuple
     batch_size: int
-    utility: str = "log"
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
@@ -97,8 +96,6 @@ class Flow:
             raise ValidationError(f"flow {self.id} repeats a link")
         if not self.links:
             raise ValidationError(f"flow {self.id} has no links")
-        if self.utility != "log":
-            raise ValidationError(f"unsupported utility {self.utility!r}")
 
     def validate_against(self, network):
         prev_head = None

@@ -8,36 +8,15 @@ for a recoding policy under a batch-wise loss model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RankDistribution:
-    """Probability vector over batch ranks 0..M."""
-
-    M: int
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "h", h)
-        if h.shape != (self.M + 1,):
-            raise ValueError(f"h shape {h.shape} != ({self.M + 1},)")
-        if np.any(h < -1e-12) or abs(h.sum() - 1.0) > 1e-9:
-            raise ValueError("h must be a probability vector")
-
-    @property
-    def expected_rank(self):
-        return float(self.h @ np.arange(self.M + 1))
-
-    @staticmethod
-    def source(M):
-        """Fresh batches carry full rank M."""
-        h = np.zeros(M + 1)
-        h[M] = 1.0
-        return RankDistribution(M=M, h=h)
+def source_distribution(M):
+    """Rank distribution over 0..M of fresh batches: full rank M."""
+    h = np.zeros(M + 1)
+    h[M] = 1.0
+    return h
 
 
 _rank_pmf_cache: dict = {}

@@ -95,22 +95,12 @@ class RecodingPolicy:
         return RecodingPolicy.adaptive(p)
 
 
-@dataclass(frozen=True)
-class AlmostDeterministicSpec:
-    """Real transmit targets t(r); each rank's count is floor/ceil of t(r)."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        object.__setattr__(self, "t", t)
-        if np.any(t < 0):
-            raise ValueError("t(r) must be nonnegative")
-
-
-def expand_almost_deterministic(spec, m0):
-    """Two-point-support policy from real targets; integer targets degenerate."""
-    t = spec.t if isinstance(spec, AlmostDeterministicSpec) else np.asarray(spec, float)
+def expand_almost_deterministic(t, m0):
+    """Two-point-support policy from real transmit targets t(r): each rank
+    sends floor or ceil of t(r); integer targets degenerate."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t(r) must be nonnegative")
     if np.any(t > m0):
         raise ValueError(f"t exceeds the transmit cap {m0}")
     M = len(t) - 1
@@ -129,7 +119,7 @@ def expand_almost_deterministic(spec, m0):
 
 def average_packets(policy, h):
     """Expected transmitted packets per batch under rank distribution h."""
-    h = np.asarray(h.h if hasattr(h, "h") else h, dtype=float)
+    h = np.asarray(h, dtype=float)
     total = 0.0
     for r in range(len(h)):
         if h[r] == 0:
@@ -151,8 +141,7 @@ class HopResult:
     def policy(self):
         """The almost-deterministic policy of `targets`, expanded on first
         use: a solve reads only its final hops' policies."""
-        return expand_almost_deterministic(AlmostDeterministicSpec(t=self.targets),
-                                           self.m0)
+        return expand_almost_deterministic(self.targets, self.m0)
 
 
 def _greedy_order(model, q, M, cap, fundable):
@@ -205,7 +194,7 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     that order from left to right until the budget falls to BUDGET_TOL or
     the next unit no longer fits.
     """
-    h = np.asarray(h_in.h if hasattr(h_in, "h") else h_in, dtype=float)
+    h = np.asarray(h_in, dtype=float)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     cap = min(m0, model.m_max)

@@ -102,42 +102,57 @@ def _typed(value, kind, path):
     return value
 
 
+def _object(value, path, known):
+    """`value` as a dict whose keys are all in `known`; a ValidationError
+    names `path` if not."""
+    bad = set(_typed(value, dict, path)) - set(known)
+    if bad:
+        raise ValidationError(f"{path}: unknown fields {sorted(bad)}")
+    return value
+
+
 def _section(doc, key, known):
     """doc[key] (default {}) as a dict whose keys are all in `known`."""
-    section = _typed(doc.get(key, {}), dict, key)
-    bad = set(section) - set(known)
-    if bad:
-        raise ValidationError(f"{key}: unknown fields {sorted(bad)}")
-    return section
+    return _object(doc.get(key, {}), key, known)
+
+
+LOSS_FIELDS = {"independent": ("epsilon",),
+               "gilbert_elliott": ("s_good", "s_bad", "p_gb", "p_bg")}
 
 
 def _loss_spec(doc, path):
     kind = _typed(doc, dict, path).get("kind")
-    if kind not in ("independent", "gilbert_elliott"):
+    if kind not in LOSS_FIELDS:
         raise ValidationError(f"{path}: unknown loss kind {kind!r}")
+    _object(doc, path, ("kind",) + LOSS_FIELDS[kind])
     try:
         if kind == "independent":
             return LossSpec.independent(
                 _number(doc.get("epsilon", 0.0), f"{path}.epsilon"))
         return LossSpec.gilbert_elliott(
-            *(_number(doc[k], f"{path}.{k}")
-              for k in ("s_good", "s_bad", "p_gb", "p_bg")))
+            *(_number(doc[k], f"{path}.{k}") for k in LOSS_FIELDS[kind]))
     except KeyError as e:
         raise ValidationError(f"{path}: missing field {e}") from None
     except ParameterError as e:
         raise ValidationError(f"{path}: {e}") from None
 
 
+LINK_FIELDS = ("id", "from", "to", "capacity", "loss")
+
+
 def scenario_from_config(doc):
     """Validate a configuration dict and build a Scenario."""
+    _object(doc, "scenario", ("name", "nodes", "links", "interference", "flows",
+                              "code", "seeds", "loss_model", "solver"))
     for key in ("nodes", "links", "flows"):
-        if key not in _typed(doc, dict, "scenario"):
+        if key not in doc:
             raise ValidationError(f"missing top-level field {key!r}")
     links = []
     for i, ld in enumerate(_typed(doc["links"], list, "links")):
         path = f"links[{i}]"
-        for key in ("id", "from", "to", "capacity", "loss"):
-            if key not in _typed(ld, dict, path):
+        _object(ld, path, LINK_FIELDS)
+        for key in LINK_FIELDS:
+            if key not in ld:
                 raise ValidationError(f"{path}: missing field {key!r}")
         links.append(Link(id=str(ld["id"]), tail=str(ld["from"]),
                           head=str(ld["to"]),
@@ -161,7 +176,7 @@ def scenario_from_config(doc):
     flows = []
     for i, fd in enumerate(_typed(doc["flows"], list, "flows")):
         path = f"flows[{i}]"
-        if "links" not in _typed(fd, dict, path):
+        if "links" not in _object(fd, path, ("id", "links", "batch_size")):
             raise ValidationError(f"{path}: missing field 'links'")
         if fd.get("batch_size", M) != M:
             raise ValidationError(f"{path}: batch_size {fd['batch_size']!r} "

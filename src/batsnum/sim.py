@@ -165,6 +165,9 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     """
     net = scenario.network
     M, q = scenario.M, scenario.q
+    if q not in ffmat.SUPPORTED_FIELDS:
+        raise SimulationInputError(f"code.field_size {q} cannot be simulated; "
+                                   f"supported: {ffmat.SUPPORTED_FIELDS}")
     viol = solution.constraint_violation(scenario)
     if viol > feasibility_tol:
         raise SimulationInputError(
@@ -319,23 +322,25 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     )
 
 
+STABLE_SLOPE = 0.01  # packets/slot a stable node's buffer grows by, at most
+
+
 @dataclass
 class StabilityReport:
     slopes: dict
     stable: bool
-    threshold: float
 
 
-def buffer_stability(report, threshold=0.01):
+def buffer_stability(report):
     """Least-squares buffer growth over the final half of the run.
 
-    Stable when every node's slope stays below `threshold` packets/slot.
+    Stable when every node's slope stays below STABLE_SLOPE.
     """
     if report.buffer_series is None:
         raise ValueError("report carries no buffer series")
     n = report.buffer_series.shape[0]
     if n < 2:
-        return StabilityReport(slopes={}, stable=True, threshold=threshold)
+        return StabilityReport(slopes={}, stable=True)
     half = n // 2
     ys = report.buffer_series[half:]
     x = np.arange(ys.shape[0], dtype=float)
@@ -345,5 +350,5 @@ def buffer_stability(report, threshold=0.01):
     for j, node in enumerate(report.buffer_nodes):
         y = ys[:, j].astype(float)
         slopes[node] = float((x * (y - y.mean())).sum() / denom)
-    stable = all(s < threshold for s in slopes.values())
-    return StabilityReport(slopes=slopes, stable=stable, threshold=threshold)
+    stable = all(s < STABLE_SLOPE for s in slopes.values())
+    return StabilityReport(slopes=slopes, stable=stable)

@@ -38,19 +38,8 @@ class LossModelOptions:
 @dataclass(frozen=True)
 class SolverConfig:
     dual_iters: int = 50      # NAP: subgradient steps after column generation
-    step_a: float = 0.5
-    step_b: float = 10.0
-    multiplier_tol: float = 1e-5
     stability_window: int = 500
     tail_window: int = 100    # unread; benchmark/selftest.py's scenario sets it
-    polish_rounds: int = 40
-    fairness_spread: float = 0.05
-    fairness_slack: float = 0.02
-    search_threshold: float = 1e-9
-    eta_start: float = 1.0
-    eta_stop: float = 3.0
-    eta_step: float = 0.01
-    eta_tol: float = 1e-4
 
 
 @dataclass
@@ -135,19 +124,6 @@ class Scenario:
 
     def eps_vector(self):
         return np.array([l.loss.average_loss_rate for l in self.network.links])
-
-
-@dataclass
-class DualState:
-    multipliers: np.ndarray
-    step_a: float
-    step_b: float
-    iteration: int = 0
-
-    def update(self, violation):
-        self.iteration += 1
-        step = self.step_a / (self.step_b + self.iteration)
-        self.multipliers = np.maximum(0.0, self.multipliers + step * violation)
 
 
 @dataclass
@@ -248,6 +224,14 @@ class ConcaveAllocation:
 
 ALLOCATION_MAX_ITERS = 100
 ALLOCATION_GAP_TOL = 1e-10
+STEP_A = 0.5              # NAP dual tail: step t is STEP_A / (STEP_B + t)
+STEP_B = 10.0
+MULTIPLIER_TOL = 1e-5     # the tail stops once no multiplier moves this far
+SEARCH_THRESHOLD = 1e-9   # the +-1 search stops on a smaller gain
+SEARCH_MAX_ROUNDS = 1000
+POLISH_ROUNDS = 40        # passes of the NAP's groupwise +-1 polish, at most
+FAIRNESS_SPREAD = 0.05    # the NAP's fair pick: utility spread at most this,
+FAIRNESS_SLACK = 0.02     # total within this of the best
 
 
 def _interior_point(G, h, x0, derivs):
@@ -381,7 +365,7 @@ def _column_master(cols, R):
 
 def _policy_mbar_and_rank(scenario, flow, policies):
     """Per-hop average packets, the destination rank dist and its mean."""
-    h = rankcalc.RankDistribution.source(scenario.M).h
+    h = rankcalc.source_distribution(scenario.M)
     mbars = []
     for lid, pol in zip(flow.links, policies):
         mbars.append(recoding.average_packets(pol, h))
@@ -558,32 +542,28 @@ def _neighborhood_best(ctx, m, lam_path, M):
     return loads[best].tolist(), float(obj[best])
 
 
-def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None,
-                                 threshold=None, max_rounds=1000):
+def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None):
     """Maximize E[h] / sum_e lam_e m_e over the joint +-1 neighborhoods.
 
     Starts from `init_m` (default: the per-link count whose expected
     deliveries equal the batch size) and repeats the exhaustive
-    neighborhood step until it stalls or the improvement drops below the
-    threshold (the stopping rule for zero-price links, reported via
+    neighborhood step until it stalls or the improvement drops below
+    SEARCH_THRESHOLD (the stopping rule for zero-price links, reported via
     threshold_stop). Returns the log-utility-optimal batch rate
     alpha = 1 / sum_e lam_e m_e for the final counts.
     """
-    cfg = scenario.solver
-    if threshold is None:
-        threshold = cfg.search_threshold
     ctx = scenario.flow_search(flow)
     lam_path = np.asarray(multipliers, dtype=float)[ctx.idx]
     m = [int(x) for x in (ctx.init_m if init_m is None else init_m)]
     cur = -np.inf
     history = []
     threshold_stop = False
-    for _ in range(max_rounds):
+    for _ in range(SEARCH_MAX_ROUNDS):
         m2, obj = _neighborhood_best(ctx, m, lam_path, scenario.M)
         if m2 == m:
             cur = max(cur, obj)
             break
-        if obj - cur < threshold and np.isfinite(cur):
+        if obj - cur < SEARCH_THRESHOLD and np.isfinite(cur):
             threshold_stop = True
             break
         m, cur = m2, obj
@@ -637,7 +617,7 @@ def _column_generation(scenario, R):
     1 / t_i. Returns the columns' count vectors per flow, the last master,
     the rounds and each round's joint count vector."""
     def column(ctx, m):  # per-link counts of m over its expected rank
-        h = rankcalc.RankDistribution.source(scenario.M).h
+        h = rankcalc.source_distribution(scenario.M)
         for W, me in zip(ctx.W_list, m):
             h = h @ W[me]
         c = np.zeros(len(scenario.network.links))
@@ -681,28 +661,25 @@ def solve_nap(scenario):
     shared = _shared_masks(searches, len(scenario.network.links))
     keys, (lam, _, beta, _, bound), rounds, visited = _column_generation(scenario, R)
     ms = [list(kk[np.argmax(b)]) for kk, b in zip(keys, beta)]
-    state = DualState(multipliers=lam * len(ms) / np.max(R @ lam),
-                      step_a=cfg.step_a, step_b=cfg.step_b)
-    stable = 0
+    lam = lam * len(ms) / np.max(R @ lam)
+    stable = t = 0
     for t in range(1, cfg.dual_iters + 1):
         load = np.zeros(len(scenario.network.links))
         changed = False
         for i, flow in enumerate(scenario.flows):
-            res = flow_subproblem_local_search(
-                scenario, flow, state.multipliers, init_m=ms[i],
-                threshold=cfg.search_threshold)
+            res = flow_subproblem_local_search(scenario, flow, lam, init_m=ms[i])
             changed = changed or (res.m != ms[i])
             ms[i] = res.m
             alpha_i = res.alpha if math.isfinite(res.alpha) else 0.0
             load[searches[i].idx] += alpha_i * np.array(ms[i])
-        si = max_weight_index(R, state.multipliers)
-        prev = state.multipliers.copy()
-        state.update(load - R[si])
-        drift = float(np.max(np.abs(state.multipliers - prev)))
+        si = max_weight_index(R, lam)
+        step = STEP_A / (STEP_B + t)
+        prev, lam = lam, np.maximum(0.0, lam + step * (load - R[si]))
+        drift = float(np.max(np.abs(lam - prev)))
         stable = 0 if changed else stable + 1
         visited[tuple(tuple(mv) for mv in ms)] = None
         if (stable >= cfg.stability_window and t >= 2 * cfg.stability_window
-                or drift < cfg.multiplier_tol):
+                or drift < MULTIPLIER_TOL):
             break
 
     pool = {}
@@ -722,7 +699,7 @@ def solve_nap(scenario):
         return pool[kk].utilities.max() - pool[kk].utilities.min()
 
     def polish(best_key, max_spread):
-        for _ in range(cfg.polish_rounds):
+        for _ in range(POLISH_ROUNDS):
             improved = False
             for kk in _groupwise_moves(best_key, caps, shared):
                 if kk != best_key and evaluate(kk) is not None and (
@@ -742,14 +719,14 @@ def solve_nap(scenario):
     # fairness-aware pick among near-best candidates
     best_total = total(best_key)
     fair = [kk for kk in pool
-            if total(kk) >= best_total - cfg.fairness_slack
-            and spread(kk) <= cfg.fairness_spread]
-    if fair and spread(best_key) > cfg.fairness_spread:
-        best_key = polish(max(fair, key=total), cfg.fairness_spread)
+            if total(kk) >= best_total - FAIRNESS_SLACK
+            and spread(kk) <= FAIRNESS_SPREAD]
+    if fair and spread(best_key) > FAIRNESS_SPREAD:
+        best_key = polish(max(fair, key=total), FAIRNESS_SPREAD)
     chosen = pool[best_key]
     return _fixed_policy_solution(
         "nap", scenario, chosen, up.u_tilde,
-        {"dual_iterations": state.iteration,
+        {"dual_iterations": t,
          "candidates_evaluated": len(pool),
          "rounds": rounds, "columns": [len(kk) for kk in keys],
          "bound": bound,
@@ -760,13 +737,20 @@ def solve_nap(scenario):
 # two-step adaptive solver
 
 
+# the rate scale eta: a grid from ETA_START to ETA_STOP in ETA_STEP, then a
+# golden-section refinement around the best grid point down to ETA_TOL
+ETA_START = 1.0
+ETA_STOP = 3.0
+ETA_STEP = 0.01
+ETA_TOL = 1e-4
+
+
 def _flow_two_step(scenario, flow, m_vec, alpha):
     """Scan the batch-rate scale eta; per-hop budget m_e/eta greedily realloc'd."""
-    cfg = scenario.solver
     models = [scenario.loss_model(e) for e in flow.links]
     caps = scenario.flow_caps(flow)
     arange = np.arange(scenario.M + 1, dtype=float)
-    source = rankcalc.RankDistribution.source(scenario.M).h
+    source = rankcalc.source_distribution(scenario.M)
 
     def realloc(eta):
         h, hops = source, []
@@ -776,20 +760,20 @@ def _flow_two_step(scenario, flow, m_vec, alpha):
             h = hops[-1].h_out
         return float(h @ arange), hops
 
-    grid = np.arange(cfg.eta_start, cfg.eta_stop + cfg.eta_step / 2, cfg.eta_step)
+    grid = np.arange(ETA_START, ETA_STOP + ETA_STEP / 2, ETA_STEP)
     best_eta, best_val = 1.0, -np.inf
     for eta in grid:
         rank, _ = realloc(eta)
         val = eta * alpha * rank
         if val > best_val:
             best_eta, best_val = float(eta), val
-    lo = max(cfg.eta_start, best_eta - cfg.eta_step)
-    hi = min(cfg.eta_stop, best_eta + cfg.eta_step)
+    lo = max(ETA_START, best_eta - ETA_STEP)
+    hi = min(ETA_STOP, best_eta + ETA_STEP)
     phi = (math.sqrt(5) - 1) / 2
     x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
     f = lambda e: e * alpha * realloc(e)[0]
     f1, f2 = f(x1), f(x2)
-    while hi - lo > cfg.eta_tol:
+    while hi - lo > ETA_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)

@@ -24,8 +24,7 @@ from batsnum import ffmat, rankcalc
 from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.netmodel import (ValidationError, max_weight_index,
                               schedule_rate_matrix)
-from batsnum.recoding import (BUDGET_TOL, AlmostDeterministicSpec, HopResult,
-                              expand_almost_deterministic)
+from batsnum.recoding import BUDGET_TOL, HopResult, expand_almost_deterministic
 from batsnum.solvers import ConcaveAllocation
 
 
@@ -226,7 +225,7 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
     hop transition from the expanded policy. The package's version must
     agree with it bit for bit.
     """
-    h = np.asarray(h_in.h if hasattr(h_in, "h") else h_in, dtype=float)
+    h = np.asarray(h_in, dtype=float)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     cap = min(m0, model.m_max)
@@ -255,7 +254,7 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
         else:
             t[r] = ti[r] + remaining / cost
             remaining = 0.0
-    policy = expand_almost_deterministic(AlmostDeterministicSpec(t=t), m0)
+    policy = expand_almost_deterministic(t, m0)
     P = rankcalc.transition_matrix(policy, model, q, M)
     h_out = h @ P
     return HopResult(expected_rank=float(h_out @ np.arange(M + 1)),
@@ -282,8 +281,7 @@ def chain_gradient(h0, path_matrices, hop_index, model, q, m_cols):
     (i, j) w.r.t. p(m|r) is W[m, i, j] for i = r and 0 elsewhere; the
     chain collapses to left[r] * (W[m] @ right)[r].
     """
-    h = np.asarray(h0.h if isinstance(h0, rankcalc.RankDistribution) else h0,
-                   dtype=float)
+    h = np.asarray(h0, dtype=float)
     M = len(h) - 1
     L = len(path_matrices)
     if not 0 <= hop_index < L:
@@ -416,8 +414,7 @@ def expected_rank_after_hop(r, t, model, q, M=None):
 
 def propagate(h0, path_matrices):
     """Push a rank distribution through a chain of hop transition matrices."""
-    h = np.asarray(h0.h if isinstance(h0, rankcalc.RankDistribution) else h0,
-                   dtype=float)
+    h = np.asarray(h0, dtype=float)
     M = len(h) - 1
     for P in path_matrices:
         if P.shape != (M + 1, M + 1):

@@ -189,7 +189,7 @@ def test_criterion_9_gradient_fd():
             pol = recoding.expand_almost_deterministic(t, 16)
             pols.append(pol)
             mats.append(rankcalc.transition_matrix(pol, model, 256, M))
-        h0 = rankcalc.RankDistribution.source(M)
+        h0 = rankcalc.source_distribution(M)
         hop = int(rng.integers(0, 3))
         G = expected_rank_gradient(h0, mats, hop, pols[hop], model, 256)
         Z = rankcalc.rank_pmf_table(M, model.m_max, 256)
@@ -250,7 +250,7 @@ def test_criterion_10_monotone_concave(solved):
 
 def test_criterion_11_chain_monotone():
     model = loss.independent_loss_model(0.2, 41)
-    h0 = rankcalc.RankDistribution.source(16)
+    h0 = rankcalc.source_distribution(16)
     base = [19, 23, 17]
     worst = 0.0
     for vary in range(3):
@@ -371,7 +371,7 @@ def test_criterion_15_sim_vs_analytic():
                           M=16)
     pol = RecodingPolicy.nonadaptive(20)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), 256, 16)
-    _, want = propagate(rankcalc.RankDistribution.source(16), [P])
+    _, want = propagate(rankcalc.source_distribution(16), [P])
     from batsnum.netmodel import Schedule
     sol = solvers.Solution(
         mode="nap", flow_ids=["f"], alpha=np.array([0.8]), eta=np.ones(1),

@@ -72,6 +72,10 @@ def test_malformed_flow_rejected(tmp_path):
 
 GE_LOSS = {"kind": "gilbert_elliott", "s_good": 1.0, "s_bad": 0.6,
            "p_gb": 0, "p_bg": 1e-3}
+# SolverConfig fields that became solver constants; export-config wrote them
+REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
+                         "fairness_spread", "fairness_slack", "search_threshold",
+                         "eta_start", "eta_stop", "eta_step", "eta_tol")
 
 
 @pytest.mark.parametrize("mode,where,edit", [
@@ -99,11 +103,22 @@ GE_LOSS = {"kind": "gilbert_elliott", "s_good": 1.0, "s_bad": 0.6,
     ("nap", "loss_model", lambda d: d.update(loss_model={"sample": 100})),
     ("nap", "code", lambda d: d["code"].update(fieldsize=2)),
     ("nap", "seeds", lambda d: d.update(seeds={"loss": 3})),
-], ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
-        "loss_str", "code_int", "seeds_int", "loss_model_list", "nodes_int",
-        "links_int", "flow_int", "flow_links_int", "solver_int", "pd_steps",
-        "loss_model_stationarize", "loss_model_stationarize_false",
-        "loss_model_typo", "code_typo", "seeds_typo"])
+    ("nap", "scenario", lambda d: d.update(interferance="all")),
+    ("nap", "links[0]", lambda d: d["links"][0].update(capacty=2.0)),
+    ("nap", "links[0].loss", lambda d: d["links"][0].update(
+        loss={"kind": "independent", "epsilom": 0.2})),
+    ("nap", "links[1].loss", lambda d: d["links"][1].update(
+        loss={**GE_LOSS, "p_gb": 1e-3, "epsilon": 0.2})),
+    ("nap", "flows[0]", lambda d: d["flows"][0].update(batchsize=16)),
+] + [("nap", "solver", lambda d, k=k: d["solver"].update({k: 1}))
+     for k in REMOVED_SOLVER_FIELDS],
+    ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
+         "loss_str", "code_int", "seeds_int", "loss_model_list", "nodes_int",
+         "links_int", "flow_int", "flow_links_int", "solver_int", "pd_steps",
+         "loss_model_stationarize", "loss_model_stationarize_false",
+         "loss_model_typo", "code_typo", "seeds_typo", "top_level_typo",
+         "link_typo", "loss_typo", "ge_loss_with_epsilon", "flow_typo",
+         *REMOVED_SOLVER_FIELDS])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)
@@ -170,6 +185,35 @@ def test_export_config_loads_back(tmp_path, tiny_path, capsys):
     p.write_text(exported)
     assert cli.main(["export-config", "--scenario", str(p)]) == 0
     assert capsys.readouterr().out == exported
+
+
+def test_export_config_presets_load_back(tmp_path, capsys):
+    p = tmp_path / "exported.json"
+    for family in ("iid", "ge"):
+        for case in range(1, 12):
+            assert cli.main(["export-config", "--case", str(case),
+                             "--loss", family]) == 0
+            exported = capsys.readouterr().out
+            assert sorted(json.loads(exported)["solver"]) == [
+                "dual_iters", "stability_window", "tail_window"]
+            p.write_text(exported)
+            assert cli.main(["export-config", "--scenario", str(p)]) == 0
+            assert capsys.readouterr().out == exported
+
+
+def test_simulate_unsupported_field_exits_4(tmp_path, capsys):
+    # the solver accepts any field size; the simulator's arithmetic has
+    # GF(2) and GF(256) only
+    doc = copy.deepcopy(TINY)
+    doc["code"]["field_size"] = 16
+    scen = tmp_path / "tiny16.json"
+    scen.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--mode", "nap", "--scenario", str(scen),
+                     "--outdir", str(tmp_path)]) == 0
+    assert cli.main(["simulate", "--scenario", str(scen), "--solution",
+                     str(tmp_path / "tiny-nap.json"), "--slots", "100",
+                     "--outdir", str(tmp_path)]) == 4
+    assert "code.field_size" in capsys.readouterr().err
 
 
 def test_unknown_preset():

@@ -1,17 +1,22 @@
-"""The package imports only numpy and scipy.linalg, and ships no name
-that only tests read.
+"""The package imports only numpy and scipy.linalg, ships no name that
+only tests read, and has no setting that only its default uses.
 
 Every import in `src/batsnum/*.py` is read with `ast`; standard-library
 and package-relative imports are allowed, and any other import must be
 one of `ALLOWED`. Test oracles may import more (scipy.optimize, for
 one), so only the package sources are checked. Every `def` and `class`
 there must be named somewhere in the package, the scripts or the
-benchmark.
+benchmark, and every `SolverConfig` field must be set by a script, the
+benchmark or README's scenario example.
 """
 
 import ast
+import dataclasses
+import json
 import pathlib
 import sys
+
+from batsnum.solvers import SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "batsnum"
 ALLOWED = {"numpy", "scipy.linalg"}
@@ -89,3 +94,24 @@ def test_every_package_name_has_a_reader():
             if not read:
                 unread.append(f"{path.name}:{node.lineno} {name}")
     assert not unread, unread
+
+
+def test_every_solver_setting_is_set_somewhere():
+    """A `SolverConfig` field that no script or benchmark sets as a dict key
+    or keyword, and that README's scenario example does not set, has one
+    value in use; it belongs in `solvers` as a constant."""
+    set_names = set()
+    for d in ("scripts", "benchmark"):
+        for path in sorted((ROOT / d).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Dict):
+                    set_names |= {k.value for k in node.keys
+                                  if isinstance(k, ast.Constant)}
+                elif isinstance(node, ast.keyword):
+                    set_names.add(node.arg)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Scenario documents")[1].split("```json")[1]
+    set_names |= set(json.loads(example.split("```")[0])["solver"])
+    unset = [f.name for f in dataclasses.fields(SolverConfig)
+             if f.name not in set_names]
+    assert not unset, unset

@@ -119,9 +119,9 @@ def test_policy_support_exceeding_model_raises():
 
 
 def test_propagate_empty_and_monotone():
-    h0 = rankcalc.RankDistribution.source(16)
+    h0 = rankcalc.source_distribution(16)
     h, e = propagate(h0, [])
-    assert np.allclose(h, h0.h) and e == pytest.approx(16.0)
+    assert np.allclose(h, h0) and e == pytest.approx(16.0)
     model = loss.independent_loss_model(0.2, 40)
     P = rankcalc.transition_matrix(RecodingPolicy.nonadaptive(20), model, 256, 16)
     prev = 16.0
@@ -147,7 +147,7 @@ FIG_POINTS = {
 
 def test_two_hop_objective_reference_values():
     model = loss.independent_loss_model(0.2, 40)
-    h0 = rankcalc.RankDistribution.source(16)
+    h0 = rankcalc.source_distribution(16)
     for (m1, m2), want in FIG_POINTS.items():
         P1 = rankcalc.transition_matrix(RecodingPolicy.nonadaptive(m1), model, 256, 16)
         P2 = rankcalc.transition_matrix(RecodingPolicy.nonadaptive(m2), model, 256, 16)
@@ -163,7 +163,7 @@ def test_gradient_matches_finite_differences():
     t[0] = 0
     pols = [expand_almost_deterministic(t, 20) for _ in range(3)]
     mats = [rankcalc.transition_matrix(p, model, 256, M) for p in pols]
-    h0 = rankcalc.RankDistribution.source(M)
+    h0 = rankcalc.source_distribution(M)
     for hop in range(3):
         G = expected_rank_gradient(h0, mats, hop, pols[hop], model, 256)
         # transition matrices are linear in the policy: exercise a few entries
@@ -199,11 +199,11 @@ def test_gradient_rows_zero_off_rank():
     model = loss.independent_loss_model(0.2, 15)
     pol = RecodingPolicy.nonadaptive(8)
     mats = [rankcalc.transition_matrix(pol, model, 256, M)] * 2
-    h0 = rankcalc.RankDistribution.source(M)
+    h0 = rankcalc.source_distribution(M)
     G = expected_rank_gradient(h0, mats, 1, pol, model, 256)
     # only ranks reachable at the hop contribute: the gradient row r is
     # left[r] * (...), so rows with zero incoming mass vanish
-    left = h0.h @ mats[0]
+    left = h0 @ mats[0]
     for r in range(M + 1):
         if left[r] == 0:
             assert np.allclose(G[r], 0.0)
@@ -214,7 +214,7 @@ def test_gradient_sign_single_hop():
     model = loss.independent_loss_model(0.2, 15)
     pol = expand_almost_deterministic(np.array([0, 2, 2, 3, 3, 4, 5.0]), 15)
     mats = [rankcalc.transition_matrix(pol, model, 256, M)]
-    h0 = rankcalc.RankDistribution.source(M)
+    h0 = rankcalc.source_distribution(M)
     G = expected_rank_gradient(h0, mats, 0, pol, model, 256)
     assert np.all(G[1:, 1:] >= -1e-12)
 
@@ -231,7 +231,7 @@ def test_chain_monotone_in_single_count():
     # three-hop chain: destination expected rank never decreases when any
     # single hop's count grows, all others fixed
     model = loss.independent_loss_model(0.2, 41)
-    h0 = rankcalc.RankDistribution.source(16)
+    h0 = rankcalc.source_distribution(16)
     base = [20, 18, 22]
     for vary in range(3):
         prev = -1.0

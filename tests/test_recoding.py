@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batsnum import loss, recoding
-from batsnum.recoding import (AlmostDeterministicSpec, RecodingPolicy,
-                              average_packets, expand_almost_deterministic,
-                              optimize_hop)
+from batsnum.recoding import (RecodingPolicy, average_packets,
+                              expand_almost_deterministic, optimize_hop)
 from oracles import almost_deterministic_exhaustive, optimize_hop_budget_loop
 from batsnum import rankcalc
 
@@ -24,7 +23,7 @@ def test_average_packets_nonadaptive():
 
 def test_average_packets_almost_deterministic():
     t = np.array([0.0, 7.5, 7.5, 7.5])
-    pol = expand_almost_deterministic(AlmostDeterministicSpec(t=t), 12)
+    pol = expand_almost_deterministic(t, 12)
     h = np.array([0.0, 0.3, 0.3, 0.4])
     assert average_packets(pol, h) == pytest.approx(7.5)
 
@@ -48,6 +47,8 @@ def test_expand_integer_and_fractional():
     assert dict(pol.support(1)) == pytest.approx({2: 0.7, 3: 0.3})
     with pytest.raises(ValueError):
         expand_almost_deterministic(np.array([0, 7.0]), 6)
+    with pytest.raises(ValueError):
+        expand_almost_deterministic(np.array([0, -0.5]), 6)
 
 
 @given(st.lists(st.floats(0, 12), min_size=4, max_size=4))

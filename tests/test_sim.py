@@ -23,7 +23,7 @@ def single_link_scenario(eps=0.2, cap=1.0, M=16):
 def manual_solution(sc, m, alpha, rate=None):
     pol = RecodingPolicy.nonadaptive(m)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), sc.q, sc.M)
-    _, e = propagate(rankcalc.RankDistribution.source(sc.M), [P])
+    _, e = propagate(rankcalc.source_distribution(sc.M), [P])
     rate = rate if rate is not None else sc.network.links[0].capacity
     return solvers.Solution(
         mode="nap", flow_ids=["f1"], alpha=np.array([alpha]),
@@ -188,7 +188,7 @@ def test_ge_chain_advances_per_packet():
                           M=16)
     pol = RecodingPolicy.nonadaptive(20)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), 256, 16)
-    _, e = propagate(rankcalc.RankDistribution.source(16), [P])
+    _, e = propagate(rankcalc.source_distribution(16), [P])
     sol = solvers.Solution(
         mode="nap", flow_ids=["f1"], alpha=np.array([0.04]), eta=np.ones(1),
         policies=[[pol]], mbar=[[20.0]], expected_rank=np.array([e]),

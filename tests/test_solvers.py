@@ -9,8 +9,8 @@ from batsnum import rankcalc
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
-from batsnum.solvers import (Scenario, Solution, SolverConfig,
-                             flow_subproblem_local_search,
+from batsnum.solvers import (SEARCH_THRESHOLD, Scenario, Solution,
+                             SolverConfig, flow_subproblem_local_search,
                              solve_fixed_policy, solve_nap, solve_up,
                              utility_ratio)
 
@@ -52,7 +52,7 @@ def test_fixed_policy_single_link():
     res = solve_fixed_policy(sc, policies)
     assert res.alpha[0] == pytest.approx(1 / 20, abs=1e-9)
     P = rankcalc.transition_matrix(policies[0][0], sc.loss_model("e1"), 256, 16)
-    _, e = propagate(rankcalc.RankDistribution.source(16), [P])
+    _, e = propagate(rankcalc.source_distribution(16), [P])
     assert res.utilities[0] == pytest.approx(math.log(e / 20), abs=1e-9)
 
 
@@ -133,9 +133,12 @@ def test_local_search_joint_escape_and_reference_values():
 
 
 def test_local_search_all_zero_prices_threshold_stop():
+    # free links: the search climbs the expected rank alone and stops when
+    # a step gains less than SEARCH_THRESHOLD, well below the caps
     sc = make_line_scenario(2)
     res = flow_subproblem_local_search(sc, sc.flows[0], np.zeros(2))
-    assert res.threshold_stop or res.m is not None
+    assert res.threshold_stop
+    assert all(m < cap for m, cap in zip(res.m, sc.flow_caps(sc.flows[0])))
     assert math.isinf(res.alpha)
 
 
@@ -166,7 +169,7 @@ def test_local_search_matches_unmemoized_reference(flow_index):
             ref = local_search_reference(
                 W_list, lam[idx], caps,
                 default_m if init_m is None else init_m, sc.M,
-                sc.solver.search_threshold)
+                SEARCH_THRESHOLD)
             assert (res.m, res.objective, res.history,
                     res.threshold_stop) == ref
         warm = res.m
@@ -192,7 +195,7 @@ def test_local_search_counts_above_255_match_reference():
         for init_m in (caps.tolist(), (caps - [0, 20, 45]).tolist()):
             res = flow_subproblem_local_search(sc, flow, lam, init_m=init_m)
             ref = local_search_reference(W_list, lam, caps, init_m, sc.M,
-                                         sc.solver.search_threshold)
+                                         SEARCH_THRESHOLD)
             assert (res.m, res.objective, res.history,
                     res.threshold_stop) == ref
     assert max(max(k) for k in sc.flow_search(flow).memo) > 255
@@ -217,7 +220,7 @@ def test_single_flow_all_collision():
     lam[sc.flow_search(flow).idx] = 1.0
     res = flow_subproblem_local_search(sc, flow, lam)
     W1, W2 = sc.hop_tables("e1"), sc.hop_tables("e2")
-    source = rankcalc.RankDistribution.source(4).h
+    source = rankcalc.source_distribution(4)
     best = max(float(source @ W1[m1] @ W2[m2] @ np.arange(5)) / (m1 + m2)
                for m1 in range(41) for m2 in range(41) if m1 + m2)
     assert res.objective == pytest.approx(best, rel=1e-9)
