@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,17 +73,15 @@ class RecodingPolicy:
             self._cdf[r] = cdf
         return int(cdf.searchsorted(rng.random(), side="right"))
 
-    def to_json(self):
+    def to_dict(self):
         if self.kind == "nonadaptive":
-            return json.dumps({"variant": "nonadaptive", "m": self.m})
+            return {"variant": "nonadaptive", "m": self.m}
         rows = [[[int(m), p] for m, p in self.support(r)]
                 for r in range(self.p.shape[0])]
-        return json.dumps({"variant": "adaptive",
-                           "columns": self.p.shape[1], "rows": rows})
+        return {"variant": "adaptive", "columns": self.p.shape[1], "rows": rows}
 
     @staticmethod
-    def from_json(doc):
-        data = json.loads(doc)
+    def from_dict(data):
         if data["variant"] == "nonadaptive":
             return RecodingPolicy.nonadaptive(data["m"])
         cols = int(data["columns"])

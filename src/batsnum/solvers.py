@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg
@@ -128,7 +128,7 @@ class Scenario:
 
 @dataclass
 class Solution:
-    mode: str
+    mode: str                         # "fixed", "nap" or "two-step"
     flow_ids: list
     alpha: np.ndarray                 # batches per slot, per flow
     eta: np.ndarray                   # batch-rate scale from the adaptive step
@@ -160,7 +160,7 @@ class Solution:
                     "utility": float(self.utilities[i]),
                     "hops": [
                         {"mbar": float(self.mbar[i][l]),
-                         "policy": json.loads(self.policies[i][l].to_json())}
+                         "policy": self.policies[i][l].to_dict()}
                         for l in range(len(self.mbar[i]))
                     ],
                 }
@@ -187,8 +187,8 @@ class Solution:
             flow_ids=[f["id"] for f in flows],
             alpha=np.array([f["alpha"] for f in flows]),
             eta=np.array([f["eta"] for f in flows]),
-            policies=[[RecodingPolicy.from_json(json.dumps(h["policy"]))
-                       for h in f["hops"]] for f in flows],
+            policies=[[RecodingPolicy.from_dict(h["policy"]) for h in f["hops"]]
+                      for f in flows],
             mbar=[[h["mbar"] for h in f["hops"]] for f in flows],
             expected_rank=np.array([f["expected_rank"] for f in flows]),
             utilities=np.array([f["utility"] for f in flows]),
@@ -383,59 +383,30 @@ def _load_matrix(scenario, mbar_per_flow):
     return A
 
 
-def _allocate(A, scheds, R):
-    """Exact allocation over the schedules' rate rows R, the link rates it
-    schedules and its nonzero time shares."""
-    alloc = _exact_concave_allocation(A, R)
-    weights = [(scheds[i], float(alloc.weights[i]))
-               for i in np.flatnonzero(alloc.weights > 1e-9)]
-    return alloc, R.T @ alloc.weights, weights
-
-
-@dataclass
-class FixedPolicyResult:
-    policies: list
-    alpha: np.ndarray
-    rate_vector: np.ndarray
-    utilities: np.ndarray
-    weights: list
-    duals: np.ndarray
-    expected_rank: np.ndarray
-    mbar: list
-    status: dict
-
-
 def solve_fixed_policy(scenario, policies):
     """Best batch rates and schedule for frozen recoding policies.
 
     With the policies fixed the per-flow expected ranks are constants, so
     the problem is the classic concave rate/schedule allocation, solved
-    exactly and recovered to a feasible (alpha, s).
+    exactly and recovered to a feasible (alpha, s). No bound is solved, so
+    u_tilde and kappa are NaN.
     """
     passes = [_policy_mbar_and_rank(scenario, flow, pols)
               for flow, pols in zip(scenario.flows, policies)]
     mbar, ranks = [p[0] for p in passes], np.array([p[2] for p in passes])
-    alloc, rate_vector, weights = _allocate(
-        _load_matrix(scenario, mbar), *schedule_rate_matrix(scenario.network))
+    scheds, R = schedule_rate_matrix(scenario.network)
+    alloc = _exact_concave_allocation(_load_matrix(scenario, mbar), R)
     utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
-    return FixedPolicyResult(
-        policies=policies, alpha=alloc.alpha, rate_vector=rate_vector,
-        utilities=utilities, weights=weights, duals=alloc.duals,
-        expected_rank=ranks, mbar=mbar, status={"allocation": alloc.status})
-
-
-def _fixed_policy_solution(mode, scenario, fixed, u_tilde, status):
-    """A Solution with unit rate scales from a fixed-policy solve."""
-    k = len(scenario.flows)
-    u_total = float(fixed.utilities.sum())
     return Solution(
-        mode=mode, flow_ids=[f.id for f in scenario.flows], alpha=fixed.alpha,
-        eta=np.ones(k), policies=fixed.policies, mbar=fixed.mbar,
-        expected_rank=fixed.expected_rank, utilities=fixed.utilities,
-        u_total=u_total, u_tilde=u_tilde,
-        kappa=utility_ratio(u_total, u_tilde, k),
-        rate_vector=fixed.rate_vector, schedule_weights=fixed.weights,
-        status={**status, **fixed.status})
+        mode="fixed", flow_ids=[f.id for f in scenario.flows],
+        alpha=alloc.alpha, eta=np.ones(len(scenario.flows)), policies=policies,
+        mbar=mbar, expected_rank=ranks, utilities=utilities,
+        u_total=float(utilities.sum()), u_tilde=math.nan, kappa=math.nan,
+        rate_vector=R.T @ alloc.weights,
+        schedule_weights=[(scheds[i], float(alloc.weights[i]))
+                          for i in np.flatnonzero(alloc.weights > 1e-9)],
+        status={"allocation": alloc.status,
+                "duals": [float(x) for x in alloc.duals]})
 
 
 @dataclass
@@ -443,8 +414,6 @@ class UpperBoundResult:
     u_tilde: float
     utilities: np.ndarray
     f: np.ndarray
-    rate_vector: np.ndarray
-    weights: list
     status: dict
 
 
@@ -455,13 +424,12 @@ def solve_up(scenario):
     link rates derated by the average loss.
     """
     A = _load_matrix(scenario, [[1.0] * len(f.links) for f in scenario.flows])
-    scheds, R = schedule_rate_matrix(scenario.network)
-    alloc, rate_vector, weights = _allocate(
-        A, scheds, R * (1.0 - scenario.eps_vector()))
+    R = schedule_rate_matrix(scenario.network)[1]
+    alloc = _exact_concave_allocation(A, R * (1.0 - scenario.eps_vector()))
     utilities = np.log(np.maximum(alloc.alpha, 1e-300))
     return UpperBoundResult(
         u_tilde=float(utilities.sum()), utilities=utilities, f=alloc.alpha,
-        rate_vector=rate_vector, weights=weights, status={"allocation": alloc.status})
+        status={"allocation": alloc.status})
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +661,7 @@ def solve_nap(scenario):
         return pool.get(kk)
 
     def total(kk):
-        return float(pool[kk].utilities.sum())
+        return pool[kk].u_total
 
     def spread(kk):
         return pool[kk].utilities.max() - pool[kk].utilities.min()
@@ -724,13 +692,12 @@ def solve_nap(scenario):
     if fair and spread(best_key) > FAIRNESS_SPREAD:
         best_key = polish(max(fair, key=total), FAIRNESS_SPREAD)
     chosen = pool[best_key]
-    return _fixed_policy_solution(
-        "nap", scenario, chosen, up.u_tilde,
-        {"dual_iterations": t,
-         "candidates_evaluated": len(pool),
-         "rounds": rounds, "columns": [len(kk) for kk in keys],
-         "bound": bound,
-         "duals": [float(x) for x in chosen.duals]})
+    return replace(
+        chosen, mode="nap", u_tilde=up.u_tilde,
+        kappa=utility_ratio(chosen.u_total, up.u_tilde, len(scenario.flows)),
+        status={**chosen.status, "dual_iterations": t,
+                "candidates_evaluated": len(pool), "rounds": rounds,
+                "columns": [len(kk) for kk in keys], "bound": bound})
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +766,6 @@ def two_step_solve(scenario, nap_solution=None):
     schedule stays feasible, and its allocation certificate is carried.
     """
     base = nap_solution if nap_solution is not None else solve_nap(scenario)
-    k = len(scenario.flows)
     etas, alphas, ranks, utils, policies, mbars = [], [], [], [], [], []
     for i, flow in enumerate(scenario.flows):
         m_vec = [int(round(mb)) for mb in base.mbar[i]]
@@ -812,23 +778,13 @@ def two_step_solve(scenario, nap_solution=None):
         policies.append(pols)
         mbars.append(mbar)
     u_total = float(np.sum(utils))
-    return Solution(
-        mode="two-step",
-        flow_ids=[f.id for f in scenario.flows],
-        alpha=np.array(alphas),
-        eta=np.array(etas),
-        policies=policies,
-        mbar=mbars,
-        expected_rank=np.array(ranks),
-        utilities=np.array(utils),
-        u_total=u_total,
-        u_tilde=base.u_tilde,
-        kappa=utility_ratio(u_total, base.u_tilde, k),
-        rate_vector=base.rate_vector,
-        schedule_weights=base.schedule_weights,
+    return replace(
+        base, mode="two-step", alpha=np.array(alphas), eta=np.array(etas),
+        policies=policies, mbar=mbars, expected_rank=np.array(ranks),
+        utilities=np.array(utils), u_total=u_total,
+        kappa=utility_ratio(u_total, base.u_tilde, len(scenario.flows)),
         status={"base_alpha": [float(a) for a in base.alpha],
                 "base_u_total": base.u_total,
                 "base_kappa": base.kappa,
                 "duals": base.status.get("duals", []),
-                "allocation": base.status["allocation"]},
-    )
+                "allocation": base.status["allocation"]})

@@ -208,10 +208,10 @@ def test_greedy_order_cached_read_only():
 
 def test_policy_json_roundtrip():
     pol = expand_almost_deterministic(np.array([0, 2.25, 5.0]), 8)
-    back = RecodingPolicy.from_json(pol.to_json())
+    back = RecodingPolicy.from_dict(pol.to_dict())
     assert np.allclose(back.p, pol.p)
     na = RecodingPolicy.nonadaptive(19)
-    assert RecodingPolicy.from_json(na.to_json()).m == 19
+    assert RecodingPolicy.from_dict(na.to_dict()).m == 19
 
 
 def test_sample_count_draws_as_generator_choice():
