@@ -7,7 +7,6 @@ loss, empirical estimation for the two-state bursty channel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -128,18 +127,6 @@ class BatchLossModel:
         upper = np.triu(self.q_table, k=1)
         if np.any(upper > 0):
             raise ParameterError("q(r|m) > 0 for r > m")
-
-    def prob(self, r, m):
-        return float(self.q_table[m, r])
-
-    def to_json(self):
-        return json.dumps({"m_max": self.m_max, "rows": self.q_table.tolist()})
-
-    @staticmethod
-    def from_json(doc):
-        data = json.loads(doc)
-        return BatchLossModel(m_max=int(data["m_max"]),
-                              q_table=np.array(data["rows"], dtype=float))
 
 
 def independent_loss_model(epsilon, m_max):

@@ -34,7 +34,8 @@ class Network:
     nodes: list
     links: list
     interference: dict = field(default_factory=dict)
-    _schedule_cache: list | None = field(default=None, repr=False, compare=False)
+    _schedule_cache: list | None = field(default=None, init=False, repr=False,
+                                         compare=False)
     _index: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 

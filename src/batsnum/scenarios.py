@@ -128,7 +128,7 @@ def _loss_spec(doc, path):
     try:
         if kind == "independent":
             return LossSpec.independent(
-                _number(doc.get("epsilon", 0.0), f"{path}.epsilon"))
+                _number(doc["epsilon"], f"{path}.epsilon"))
         return LossSpec.gilbert_elliott(
             *(_number(doc[k], f"{path}.{k}") for k in LOSS_FIELDS[kind]))
     except KeyError as e:
@@ -183,6 +183,8 @@ def scenario_from_config(doc):
                                   f"differs from code.batch_size {M}")
         flow = Flow(id=str(fd.get("id", f"f{i+1}")), batch_size=M, links=tuple(
             str(x) for x in _typed(fd["links"], list, f"{path}.links")))
+        if flow.id in {f.id for f in flows}:
+            raise ValidationError(f"{path}.id: duplicate flow id {flow.id!r}")
         try:
             flow.validate_against(net)
         except ValidationError as e:

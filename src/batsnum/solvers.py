@@ -54,7 +54,8 @@ class Scenario:
     loss_options: LossModelOptions = field(default_factory=LossModelOptions)
     solver: SolverConfig = field(default_factory=SolverConfig)
     name: str = "scenario"
-    _models: dict = field(default_factory=dict, repr=False, compare=False)
+    _models: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
     _searches: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 

@@ -110,6 +110,11 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
     ("nap", "links[1].loss", lambda d: d["links"][1].update(
         loss={**GE_LOSS, "p_gb": 1e-3, "epsilon": 0.2})),
     ("nap", "flows[0]", lambda d: d["flows"][0].update(batchsize=16)),
+    # the first flow's id defaults to f1, which the second repeats
+    ("nap", "flows[1].id: duplicate flow id 'f1'", lambda d: d.update(
+        flows=[{"links": ["e1", "e2"]}, {"id": "f1", "links": ["e2"]}])),
+    ("nap", "links[0].loss: missing field 'epsilon'",
+     lambda d: d["links"][0].update(loss={"kind": "independent"})),
 ] + [("nap", "solver", lambda d, k=k: d["solver"].update({k: 1}))
      for k in REMOVED_SOLVER_FIELDS],
     ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
@@ -118,7 +123,7 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
          "loss_model_stationarize", "loss_model_stationarize_false",
          "loss_model_typo", "code_typo", "seeds_typo", "top_level_typo",
          "link_typo", "loss_typo", "ge_loss_with_epsilon", "flow_typo",
-         *REMOVED_SOLVER_FIELDS])
+         "duplicate_flow_id", "epsilon_missing", *REMOVED_SOLVER_FIELDS])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)

@@ -52,26 +52,29 @@ READERS = ("src/batsnum", "scripts", "benchmark")
 
 
 def _uses(tree):
-    """(name, line) for every identifier and every string constant that
-    names something, bare or dotted as the benchmark tracer writes it."""
+    """(name, line, reaches a method) for every identifier and every string
+    constant that names something, bare or dotted as the benchmark tracer
+    writes it. Only an attribute or a string can reach a method; a bare
+    name spelled the same way is some other variable."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], node.lineno
+            yield node.name.rpartition(".")[2], node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.replace(".", "").replace("_", "").isalnum()):
-            yield node.value.rpartition(".")[2], node.lineno
+            yield node.value.rpartition(".")[2], node.lineno, True
 
 
 def test_every_package_name_has_a_reader():
     """A `def` or `class` in `src/batsnum/` that nothing in the package, the
     scripts or the benchmark names outside its own body is read by tests
     only; it belongs in `tests/oracles.py` or nowhere. Dunder methods are
-    called by Python, and a module that defines a function of the same
-    name reads its own, not the package's."""
+    called by Python, a module that defines a function of the same name
+    reads its own, not the package's, and a method is read only through an
+    attribute or a string."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for d in READERS for p in sorted((ROOT / d).glob("*.py"))}
     own = {p: {n.name for n in t.body
@@ -80,6 +83,8 @@ def test_every_package_name_has_a_reader():
     uses = {p: list(_uses(t)) for p, t in trees.items()}
     unread = []
     for path in sorted(SRC.glob("*.py")):
+        methods = {id(n) for c in ast.walk(trees[path])
+                   if isinstance(c, ast.ClassDef) for n in c.body}
         for node in ast.walk(trees[path]):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -88,9 +93,10 @@ def test_every_package_name_has_a_reader():
                 continue
             read = any(
                 used == name and not node.lineno <= line <= node.end_lineno
+                and (reaches_method or id(node) not in methods)
                 for p, found in uses.items()
                 if p == path or name not in own[p]
-                for used, line in found)
+                for used, line, reaches_method in found)
             if not read:
                 unread.append(f"{path.name}:{node.lineno} {name}")
     assert not unread, unread

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,12 +10,12 @@ from oracles import check_monotone_concave
 def test_independent_lossless():
     model = loss.independent_loss_model(0.0, 8)
     for m in range(9):
-        assert model.prob(m, m) == pytest.approx(1.0)
+        assert model.q_table[m, m] == pytest.approx(1.0)
 
 
 def test_independent_binomial_value():
     model = loss.independent_loss_model(0.2, 10)
-    assert model.prob(1, 2) == pytest.approx(0.32)
+    assert model.q_table[2, 1] == pytest.approx(0.32)
 
 
 def test_rows_sum_to_one():
@@ -85,9 +84,9 @@ def test_empirical_independent_matches_binomial():
     exact = loss.independent_loss_model(0.2, 12)
     for m in (1, 5, 12):
         for r in range(m + 1):
-            p = exact.prob(r, m)
+            p = exact.q_table[m, r]
             se = math.sqrt(p * (1 - p) / 20000)
-            assert abs(model.prob(r, m) - p) <= 3 * se + 1e-9
+            assert abs(model.q_table[m, r] - p) <= 3 * se + 1e-9
 
 
 def test_empirical_single_sample_point_mass():
@@ -141,16 +140,6 @@ def test_monotone_concave_adversarial():
     assert not rep.monotone
 
 
-def test_model_json_roundtrip():
-    model = loss.independent_loss_model(0.25, 7)
-    doc = model.to_json()
-    back = loss.BatchLossModel.from_json(doc)
-    assert back.m_max == 7
-    assert np.allclose(back.q_table, model.q_table)
-    parsed = json.loads(doc)
-    assert set(parsed) == {"m_max", "rows"}
-
-
 def test_path_sampler_matches_stepped_chain():
     # run-length path sampling must agree with the packet-by-packet chain;
     # row m_max is the full-path count, the only cyclic window of that length
@@ -169,4 +158,4 @@ def test_path_sampler_matches_stepped_chain():
     for r in range(m + 1):
         p = stepped[r]
         se = math.sqrt(max(p * (1 - p), 1e-6) / n)
-        assert abs(model.prob(r, m) - p) <= 4 * se + 2e-3
+        assert abs(model.q_table[m, r] - p) <= 4 * se + 2e-3

@@ -255,6 +255,22 @@ def test_two_step_never_worse(solved):
     assert np.all(two.eta >= 1.0 - 1e-12)
 
 
+def test_every_solver_result_is_one_solution(solved):
+    # the fixed-policy solve on the NAP pick's policies is that pick, and
+    # the two-step keeps the NAP's flows, bound and schedule
+    sc, nap, two = solved.scenario(1), solved.nap(1), solved.two_step(1)
+    fixed = solve_fixed_policy(sc, nap.policies)
+    assert fixed.mode == "fixed" and np.all(fixed.eta == 1.0)
+    assert math.isnan(fixed.u_tilde) and math.isnan(fixed.kappa)
+    for name in ("alpha", "utilities", "rate_vector"):
+        assert np.array_equal(getattr(fixed, name), getattr(nap, name)), name
+    assert fixed.schedule_weights == nap.schedule_weights
+    assert fixed.status["allocation"] == nap.status["allocation"]
+    assert two.flow_ids == nap.flow_ids and two.u_tilde == nap.u_tilde
+    assert np.array_equal(two.rate_vector, nap.rate_vector)
+    assert two.schedule_weights == nap.schedule_weights
+
+
 def test_solution_json_roundtrip(solved):
     sol = solved.two_step(1)
     back = Solution.from_json(sol.to_json())
