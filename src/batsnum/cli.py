@@ -105,8 +105,9 @@ def cmd_simulate(args):
             col = series[:, j]
             for slot in range(0, series.shape[0], args.buffer_stride):
                 w.writerow([slot, node, int(col[slot])])
-    for fid in report.flow_ids:
-        print(f"{fid}: utility = {report.utilities[fid]:.4f} "
+    for fid, predicted in zip(report.flow_ids, solution.utilities):
+        print(f"{fid}: simulated utility = {report.utilities[fid]:.4f} "
+              f"vs predicted {predicted:.4f} "
               f"completed = {report.completed[fid]}")
     print(f"buffers stable: {stability.stable}  ({csv_path})")
     return 0

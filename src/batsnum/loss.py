@@ -113,7 +113,8 @@ class BatchLossModel:
 
     m_max: int
     q_table: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.q_table = np.asarray(self.q_table, dtype=float)

@@ -107,12 +107,6 @@ class Flow:
                     f"flow {self.id}: link {lid} does not start at {prev_head}")
             prev_head = link.head
 
-    def nodes(self, network):
-        out = [network.link(self.links[0]).tail]
-        for lid in self.links:
-            out.append(network.link(lid).head)
-        return out
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -137,17 +137,14 @@ class _LossChannel:
         return self.ge.step(self.rng)[0]
 
 
-def _uniform_recode(basis, m, q, rng):
-    """m random linear combinations of the basis rows (m x M coefficients)."""
+def recode_batch(basis, policy, rank, q, rng):
+    """Transmit coefficient rows for a closed batch: as many uniform random
+    combinations of the basis rows as the policy draws for its rank."""
+    m = policy.sample_count(rank, rng)
     if m == 0 or basis.shape[0] == 0:
         return np.zeros((m, basis.shape[1]), dtype=np.uint8)
     coef = ffmat.random_matrix(m, basis.shape[0], rng, q=q)
     return ffmat.gf_matmul(coef, basis, q=q)
-
-
-def recode_batch(basis, policy, rank, q, rng):
-    """Generate the transmit coefficient rows for a closed batch."""
-    return _uniform_recode(basis, policy.sample_count(rank, rng), q, rng)
 
 
 def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
@@ -158,10 +155,11 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     the TDMA frame serve their FIFO queues up to the per-slot credit,
     each transmitted packet passes the link's loss channel, and receivers
     close batches on the marked last packet or on the arrival of a newer
-    batch. Returns per-flow empirical rank statistics, throughput
-    utilities, per-node buffer occupancy, per-link innovative/redundant
-    arrivals, and per-hop counts of vanished batches (all packets lost,
-    or none sent).
+    batch. A closed batch moves to its flow's next hop, so a route may
+    pass a node more than once. Returns per-flow empirical rank
+    statistics, throughput utilities, per-node buffer occupancy, per-link
+    innovative/redundant arrivals, and per-hop counts of vanished batches
+    (all packets lost, or none sent).
     """
     net = scenario.network
     M, q = scenario.M, scenario.q
@@ -173,153 +171,128 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
         raise SimulationInputError(
             f"solution violates a link constraint by {viol:.3e}")
     frame = build_tdma_frame(solution.schedule_weights, frame_length)
-    master = np.random.default_rng(rng_seed)
-    seeds = master.spawn(3)
-    chan_rng = seeds[0].spawn(len(net.links))
-    flow_rng = {f.id: r for f, r in zip(scenario.flows,
-                                        seeds[2].spawn(len(scenario.flows)))}
+    seeds = np.random.default_rng(rng_seed).spawn(3)
+    links, flows, policies = net.links, scenario.flows, solution.policies
+    flow_rng = seeds[2].spawn(len(flows))
 
-    channels = {l.id: _LossChannel(l.loss, r)
-                for l, r in zip(net.links, chan_rng)}
-    queues = {l.id: deque() for l in net.links}
-    credit = {l.id: 0.0 for l in net.links}
-    # flow structures
-    next_hop = {}       # (flow, node) -> link id, or None at the destination
-    policy_for = {}     # (flow, link) -> policy used on that link
-    in_link = {}        # (flow, link) -> receiving state
-    for i, f in enumerate(scenario.flows):
-        nodes = f.nodes(net)
-        for j, lid in enumerate(f.links):
-            next_hop[(f.id, nodes[j])] = lid
-            policy_for[(f.id, lid)] = solution.policies[i][j]
-            in_link[(f.id, lid)] = _RxState()
-        next_hop[(f.id, nodes[-1])] = None
-    link_head = {l.id: l.head for l in net.links}
-
-    sources = {f.id: BatchSource(float(solution.alpha[i]))
-               for i, f in enumerate(scenario.flows)}
-    emitted = {f.id: 0 for f in scenario.flows}
-    completed = {f.id: 0 for f in scenario.flows}
-    rank_hist = {f.id: np.zeros(M + 1, dtype=np.int64) for f in scenario.flows}
-    delivered = {f.id: 0.0 for f in scenario.flows}
-    link_sent = {l.id: 0 for l in net.links}
-    link_recv = {l.id: 0 for l in net.links}
-    innovative = {l.id: 0 for l in net.links}
-    redundant = {l.id: 0 for l in net.links}
-    died = {key: 0 for key in in_link}
-
+    # flow i's hop j is link position hops[i][j]; packets carry (i, j)
+    hops = [[net.link_index(lid) for lid in f.links] for f in flows]
+    rx = [[_RxState() for _ in f.links] for f in flows]
+    died = [[0] * len(f.links) for f in flows]
+    # per link position
+    channels = [_LossChannel(l.loss, r)
+                for l, r in zip(links, seeds[0].spawn(len(links)))]
+    queues = [deque() for _ in links]
+    credit = [0.0] * len(links)
+    sent, received = [0] * len(links), [0] * len(links)
+    innovative, redundant = [0] * len(links), [0] * len(links)
+    # per node, in buffer_nodes order
     buffer_nodes = list(net.nodes)
+    tail = [buffer_nodes.index(l.tail) for l in links]
+    queued = [0] * len(buffer_nodes)
     buffers = (np.zeros((slots, len(buffer_nodes)), dtype=np.int32)
                if record_buffers else None)
-    queued_at_node = {n: 0 for n in buffer_nodes}  # in buffer_nodes order
 
-    def enqueue(flow_id, lid, batch_id, rows, sender_rank):
-        # a packet is (flow, batch, coefficient row packed as in
+    sources = [BatchSource(float(a)) for a in solution.alpha]
+    emitted, completed = [0] * len(flows), [0] * len(flows)
+    rank_hist = [np.zeros(M + 1, dtype=np.int64) for _ in flows]
+    delivered = [0.0] * len(flows)
+
+    def enqueue(i, j, batch_id, rows, sender_rank):
+        # a packet is (flow, hop, batch, coefficient row packed as in
         # ffmat.RowBasis, rank of the batch at the sender, last of batch)
         n = rows.shape[0]
         if n == 0:
-            died[(flow_id, lid)] += 1
+            died[i][j] += 1
             return
-        queues[lid].extend((flow_id, batch_id, coeff, sender_rank, i == n - 1)
-                           for i, coeff in enumerate(ffmat.int_rows(rows)))
-        queued_at_node[net.link(lid).tail] += n
+        k = hops[i][j]
+        queues[k].extend((i, j, batch_id, coeff, sender_rank, x == n - 1)
+                         for x, coeff in enumerate(ffmat.int_rows(rows)))
+        queued[tail[k]] += n
 
-    def close_batch(flow_id, lid, state):
+    def close_batch(i, j, state):
         if state.batch < 0:
             return
         rank = state.basis.rank
-        out_link = next_hop[(flow_id, link_head[lid])]
-        if out_link is None:
-            rank_hist[flow_id][rank] += 1
-            delivered[flow_id] += rank
-            completed[flow_id] += 1
+        if j + 1 == len(hops[i]):
+            rank_hist[i][rank] += 1
+            delivered[i] += rank
+            completed[i] += 1
         else:
-            pol = policy_for[(flow_id, out_link)]
-            rows_out = recode_batch(state.basis.to_array(M), pol, rank, q,
-                                    flow_rng[flow_id])
-            enqueue(flow_id, out_link, state.batch, rows_out, rank)
+            rows = recode_batch(state.basis.to_array(M), policies[i][j + 1],
+                                rank, q, flow_rng[i])
+            enqueue(i, j + 1, state.batch, rows, rank)
         state.batch = -1
 
     identity = np.eye(M, dtype=np.uint8)
-    active_links = [[l for l, a in zip(net.links, s.active) if a]
-                    for s in frame]
+    active_links = [[(k, links[k].capacity) for k, a in enumerate(s.active)
+                     if a] for s in frame]
 
     for slot in range(slots):
         # sources
-        for f in scenario.flows:
-            for _ in range(sources[f.id].step()):
-                bid = emitted[f.id]
-                emitted[f.id] += 1
-                rows = recode_batch(identity, policy_for[(f.id, f.links[0])],
-                                    M, q, flow_rng[f.id])
-                enqueue(f.id, f.links[0], bid, rows, M)
+        for i, src in enumerate(sources):
+            for _ in range(src.step()):
+                rows = recode_batch(identity, policies[i][0], M, q,
+                                    flow_rng[i])
+                enqueue(i, 0, emitted[i], rows, M)
+                emitted[i] += 1
         # scheduled transmissions
-        for link in active_links[slot % len(frame)]:
-            qq = queues[link.id]
-            credit[link.id] += link.capacity
-            while credit[link.id] >= 1.0 and qq:
-                credit[link.id] -= 1.0
-                fid, bid, coeff, sender_rank, last = qq.popleft()
-                queued_at_node[link.tail] -= 1
-                link_sent[link.id] += 1
-                st = in_link[(fid, link.id)]
-                if not channels[link.id].transmit():
+        for k, cap in active_links[slot % len(frame)]:
+            qq = queues[k]
+            credit[k] += cap
+            while credit[k] >= 1.0 and qq:
+                credit[k] -= 1.0
+                i, j, bid, coeff, sender_rank, last = qq.popleft()
+                queued[tail[k]] -= 1
+                sent[k] += 1
+                st = rx[i][j]
+                if not channels[k].transmit():
                     # receivers cannot react to lost packets; a batch none
                     # of whose packets arrived vanishes on this hop
                     if last and st.batch != bid:
-                        died[(fid, link.id)] += 1
+                        died[i][j] += 1
                     continue
-                link_recv[link.id] += 1
+                received[k] += 1
                 if bid > st.batch:
                     if st.batch >= 0:
-                        close_batch(fid, link.id, st)
+                        close_batch(i, j, st)
                     st.batch = bid
                     st.basis = ffmat.RowBasis()
                 if bid == st.batch:
                     # past the sender's rank no row can be innovative
                     if st.basis.rank < sender_rank and st.basis.absorb(coeff):
-                        innovative[link.id] += 1
+                        innovative[k] += 1
                     else:
-                        redundant[link.id] += 1
+                        redundant[k] += 1
                     if last:
-                        close_batch(fid, link.id, st)
+                        close_batch(i, j, st)
             if not qq:
-                credit[link.id] = 0.0  # service is use-it-or-lose-it when idle
+                credit[k] = 0.0  # service is use-it-or-lose-it when idle
         if record_buffers:
-            buffers[slot] = tuple(queued_at_node.values())
+            buffers[slot] = queued
 
     # every emitted batch was delivered or vanished, or is queued or open
-    in_flight = {pkt[:2] for qq in queues.values() for pkt in qq}
-    in_flight |= {(fid, st.batch) for (fid, _), st in in_link.items()
-                  if st.batch >= 0}
-    died_per_hop = {f.id: [died[(f.id, lid)] for lid in f.links]
-                    for f in scenario.flows}
-    for f in scenario.flows:
-        n_flight = sum(fid == f.id for fid, _ in in_flight)
-        assert emitted[f.id] == (completed[f.id] + sum(died_per_hop[f.id])
-                                 + n_flight), f"flow {f.id} lost track of a batch"
+    in_flight = {(pkt[0], pkt[2]) for qq in queues for pkt in qq}
+    in_flight |= {(i, st.batch) for i, states in enumerate(rx)
+                  for st in states if st.batch >= 0}
+    for i, f in enumerate(flows):
+        n_flight = sum(x == i for x, _ in in_flight)
+        assert emitted[i] == completed[i] + sum(died[i]) + n_flight, \
+            f"flow {f.id} lost track of a batch"
 
-    utilities = {}
-    for f in scenario.flows:
-        tput = delivered[f.id] / slots
-        utilities[f.id] = math.log(tput) if tput > 0 else -math.inf
+    ids, lids = [f.id for f in flows], [l.id for l in links]
     return SimReport(
-        slots=slots,
-        flow_ids=[f.id for f in scenario.flows],
-        rank_hist=rank_hist,
-        emitted=emitted,
-        completed=completed,
-        delivered_rank=delivered,
-        utilities=utilities,
-        buffer_series=buffers,
-        buffer_nodes=buffer_nodes,
-        link_stats={lid: {"sent": link_sent[lid], "received": link_recv[lid]}
-                    for lid in link_sent},
-        link_innovation={lid: {"innovative": innovative[lid],
-                               "redundant": redundant[lid]}
-                         for lid in link_sent},
-        died=died_per_hop,
-    )
+        slots=slots, flow_ids=ids, rank_hist=dict(zip(ids, rank_hist)),
+        emitted=dict(zip(ids, emitted)), completed=dict(zip(ids, completed)),
+        delivered_rank=dict(zip(ids, delivered)),
+        utilities={fid: math.log(d / slots) if d > 0 else -math.inf
+                   for fid, d in zip(ids, delivered)},
+        buffer_series=buffers, buffer_nodes=buffer_nodes,
+        link_stats={lid: {"sent": s, "received": r}
+                    for lid, s, r in zip(lids, sent, received)},
+        link_innovation={lid: {"innovative": n, "redundant": r}
+                         for lid, n, r in zip(lids, innovative, redundant)},
+        died=dict(zip(ids, died)))
 
 
 STABLE_SLOPE = 0.01  # packets/slot a stable node's buffer grows by, at most

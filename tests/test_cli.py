@@ -235,7 +235,7 @@ def test_cli_up_case1(tmp_path, capsys):
     assert doc["status"]["allocation"]["gap"] <= 1e-10
 
 
-def test_cli_solve_simulate_roundtrip(tmp_path):
+def test_cli_solve_simulate_roundtrip(tmp_path, capsys):
     scen = tmp_path / "tiny.json"
     scen.write_text(json.dumps(TINY))
     rc = cli.main(["solve", "--mode", "nap", "--scenario", str(scen),
@@ -250,6 +250,10 @@ def test_cli_solve_simulate_roundtrip(tmp_path):
                    "--outdir", str(tmp_path), "--buffer-stride", "100"])
     assert rc == 0
     sim_doc = json.loads((tmp_path / "tiny-sim.json").read_text())
+    predicted = json.loads(sol_path.read_text())["flows"][0]["utility"]
+    simulated = sim_doc["flows"]["f1"]["utility"]
+    assert (f"f1: simulated utility = {simulated:.4f} vs predicted "
+            f"{predicted:.4f}") in capsys.readouterr().out
     assert sim_doc["buffer_stability"]["stable"] is True
     assert (tmp_path / "tiny-sim-buffers.csv").read_text().startswith(
         "slot,node,buffer_size")

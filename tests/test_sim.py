@@ -206,6 +206,27 @@ def test_ge_chain_advances_per_packet():
     assert got == pytest.approx(e, abs=0.25)
 
 
+def test_route_revisiting_a_node_sends_on_every_hop():
+    # a -> b -> c -> b -> d passes b twice: a batch closed at b must go on
+    # by its hop, e2 after e1 and e4 after e3
+    links = [Link(lid, tail, head, 1.0, LossSpec.independent(0.0))
+             for lid, tail, head in [("e1", "a", "b"), ("e2", "b", "c"),
+                                     ("e3", "c", "b"), ("e4", "b", "d")]]
+    net = Network(nodes=["a", "b", "c", "d"], links=links)
+    flow = Flow(id="f1", links=("e1", "e2", "e3", "e4"), batch_size=16)
+    sc = solvers.Scenario(network=net, flows=[flow], M=16)
+    sol = solvers.solve_fixed_policy(sc, [[RecodingPolicy.nonadaptive(6)] * 4])
+    rep = run_simulation(sc, sol, slots=2_000, rng_seed=1)
+    done = rep.completed["f1"]
+    assert done >= rep.emitted["f1"] - 4 > 300  # a few are still in flight
+    assert rep.died["f1"] == [0, 0, 0, 0]
+    for lid in flow.links:
+        # every delivered batch crossed every hop as six packets
+        assert rep.link_stats[lid]["sent"] >= 6 * done
+    assert rep.rank_hist["f1"].sum() == done
+    assert rep.delivered_rank["f1"] >= 5.9 * done
+
+
 def test_report_json_dict():
     sc = single_link_scenario(eps=0.2)
     sol = manual_solution(sc, m=18, alpha=0.05)
