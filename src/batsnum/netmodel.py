@@ -44,6 +44,8 @@ class Network:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate link ids")
         node_set = set(self.nodes)
+        if len(node_set) != len(self.nodes):
+            raise ValidationError("duplicate node names")
         for l in self.links:
             if l.tail not in node_set or l.head not in node_set:
                 raise ValidationError(f"link {l.id} references unknown node")

@@ -272,12 +272,10 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
             buffers[slot] = queued
 
     # every emitted batch was delivered or vanished, or is queued or open
-    in_flight = {(pkt[0], pkt[2]) for qq in queues for pkt in qq}
-    in_flight |= {(i, st.batch) for i, states in enumerate(rx)
-                  for st in states if st.batch >= 0}
     for i, f in enumerate(flows):
-        n_flight = sum(x == i for x, _ in in_flight)
-        assert emitted[i] == completed[i] + sum(died[i]) + n_flight, \
+        in_flight = {pkt[2] for qq in queues for pkt in qq if pkt[0] == i}
+        in_flight |= {st.batch for st in rx[i] if st.batch >= 0}
+        assert emitted[i] == completed[i] + sum(died[i]) + len(in_flight), \
             f"flow {f.id} lost track of a batch"
 
     ids, lids = [f.id for f in flows], [l.id for l in links]

@@ -156,6 +156,8 @@ def test_flow_validation():
 
 
 def test_network_validation():
+    with pytest.raises(ValidationError, match="duplicate node"):
+        Network(nodes=["a", "b", "a"], links=[])
     with pytest.raises(ValidationError):
         Network(nodes=["a"], links=[Link("e", "a", "missing", 1.0,
                                          LossSpec.independent(0.0))])
