@@ -51,7 +51,7 @@ def random_matrix(rows, cols, rng, q=256):
 
 
 def gf_matmul(A, B, q=256):
-    """Matrix product over GF(q)."""
+    """Matrix product over GF(q); GF(2) is the subfield {0, 1} of GF(256)."""
     _check_field(q)
     A = np.asarray(A, dtype=np.uint8)
     B = np.asarray(B, dtype=np.uint8)
@@ -59,8 +59,6 @@ def gf_matmul(A, B, q=256):
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-    if q == 2:
-        return (A.astype(np.uint16) @ B.astype(np.uint16) & 1).astype(np.uint8)
     prod = _MUL256[A[:, :, None], B[None, :, :]]
     return np.bitwise_xor.reduce(prod, axis=1)
 
@@ -120,14 +118,13 @@ def int_rows(A):
             for i in range(0, len(data), cols)]
 
 
-def row_reduce(A, q=256):
+def row_reduce(A):
     """Row-echelon reduction; returns (basis rows, rank).
 
     The returned rows span the row space of A and are linearly
     independent (not necessarily the original rows); each row's leading
     entry is 1 and the rows are ordered by their leading column.
     """
-    _check_field(q)
     A = np.asarray(A, dtype=np.uint8)
     basis = RowBasis()
     for row in int_rows(A) if A.size else ():

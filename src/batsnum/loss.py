@@ -47,32 +47,6 @@ class GEParams:
         return 1.0 - pi_g * self.s_good - pi_b * self.s_bad
 
 
-class GEChannel:
-    """Stateful channel instance; single-owner, advanced one packet at a time."""
-
-    GOOD = "G"
-    BAD = "B"
-
-    def __init__(self, params: GEParams, state: str = GOOD):
-        if state not in (self.GOOD, self.BAD):
-            raise ParameterError(f"bad state {state!r}")
-        self.params = params
-        self.state = state
-
-    def reset_from_steady_state(self, rng):
-        pi_g, _ = self.params.steady_state()
-        self.state = self.GOOD if rng.random() < pi_g else self.BAD
-
-    def step(self, rng):
-        """Transmit one packet: success from the current state, then transition."""
-        p = self.params
-        good = self.state == self.GOOD
-        received = rng.random() < (p.s_good if good else p.s_bad)
-        if rng.random() < (p.p_gb if good else p.p_bg):
-            self.state = self.BAD if good else self.GOOD
-        return received, self.state
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Link loss description: independent(epsilon) or gilbert_elliott(params)."""
@@ -105,6 +79,27 @@ class LossSpec:
     def gilbert_elliott(s_good, s_bad, p_gb, p_bg):
         return LossSpec(kind="gilbert_elliott",
                         ge=GEParams(s_good, s_bad, p_gb, p_bg))
+
+
+class Channel:
+    """A link's loss process, advanced once per packet. A bursty link starts
+    in a steady-state draw, receives from its state, then transitions."""
+
+    def __init__(self, spec, rng):
+        self.rng, self.ge = rng, spec.ge
+        if self.ge is None:
+            self.p_recv = 1.0 - spec.epsilon
+        else:
+            self.good = rng.random() < self.ge.steady_state()[0]
+
+    def transmit(self):
+        if self.ge is None:
+            return self.rng.random() < self.p_recv
+        p, good = self.ge, self.good
+        received = self.rng.random() < (p.s_good if good else p.s_bad)
+        if self.rng.random() < (p.p_gb if good else p.p_bg):
+            self.good = not good
+        return received
 
 
 @dataclass
@@ -164,10 +159,6 @@ def _ge_paths(params, n, length, rng):
     return Z
 
 
-def _bernoulli_paths(epsilon, n, length, rng):
-    return (rng.random((n, length)) < (1.0 - epsilon)).astype(np.int8)
-
-
 def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0):
     """Estimate q(r|m) from the cyclic windows of simulated packet paths.
 
@@ -178,6 +169,8 @@ def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0):
     expected-rank curves it yields are exactly monotone and concave, as
     the per-hop recoding optimizer needs.
     """
+    if spec.ge is None:
+        raise ParameterError("only gilbert_elliott loss is estimated")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if m_max < 1:
@@ -185,10 +178,7 @@ def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     tab = np.zeros((m_max + 1, m_max + 1))
     tab[0, 0] = 1.0
-    if spec.kind == "independent":
-        Z = _bernoulli_paths(spec.epsilon, samples, m_max, rng)
-    else:
-        Z = _ge_paths(spec.ge, samples, m_max, rng)
+    Z = _ge_paths(spec.ge, samples, m_max, rng)
     ZZ = np.concatenate([Z, Z], axis=1)
     C = np.zeros((samples, 2 * m_max + 1), dtype=np.int64)
     np.cumsum(ZZ, axis=1, out=C[:, 1:])

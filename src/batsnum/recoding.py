@@ -131,7 +131,6 @@ class HopResult:
     targets: np.ndarray
     m0: int
     budget_used: float
-    concave: bool
     h_out: np.ndarray  # next-hop rank distribution under `policy`
 
     @cached_property
@@ -148,16 +147,13 @@ def _greedy_order(model, q, M, cap, fundable):
     (ties to the lower rank) among the fundable ranks still below the
     cap; neither h's values nor the budget enter the choice, so a budget
     only decides how long a prefix of this order is paid for. Cached on
-    the loss model with the concavity flag of its curves; the order is
-    read-only.
+    the loss model; the order is read-only.
     """
     key = ("greedy_order", q, M, cap, fundable.tobytes())
     got = model._cache.get(key)
     if got is not None:
         return got
     E1 = rankcalc.expected_rank_table(model, q, M)
-    d2 = np.diff(E1[1:, :cap + 1], n=2, axis=1)
-    concave = bool(d2.size == 0 or d2.max() <= 1e-6)
     ti = np.zeros(M + 1, dtype=int)
     marg = np.full(M + 1, -np.inf)
     for r in range(1, M + 1):
@@ -172,8 +168,8 @@ def _greedy_order(model, q, M, cap, fundable):
         marg[r] = (E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap else -np.inf
     order = np.array(order, dtype=np.intp)
     order.flags.writeable = False
-    got = model._cache[key] = (order, concave)
-    return got
+    model._cache[key] = order
+    return order
 
 
 def optimize_hop(h_in, model, budget, q, M, m0):
@@ -183,9 +179,8 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     grant one transmit count to the rank with the largest marginal gain
     (ties to the lower rank), paying h(r) of budget per unit; the last
     unit is granted fractionally so the budget is exhausted exactly. For
-    monotone-concave curves this is the exact optimum and the result is
-    almost deterministic. A failed concavity check is reported in the
-    result (greedy still returned).
+    monotone-concave curves, which every model the package builds has,
+    this is the exact optimum and the result is almost deterministic.
 
     The grant order is cached (`_greedy_order`); a call pays the units of
     that order from left to right until the budget falls to BUDGET_TOL or
@@ -197,7 +192,7 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     cap = min(m0, model.m_max)
     fundable = h > 0
     fundable[0] = False
-    order, concave = _greedy_order(model, q, M, cap, fundable)
+    order = _greedy_order(model, q, M, cap, fundable)
     costs = h[order]
     # rem[k]: budget left before the k-th grant, subtracted in grant order
     rem = np.subtract.accumulate(np.concatenate(([float(budget)], costs)))
@@ -213,5 +208,4 @@ def optimize_hop(h_in, model, budget, q, M, m0):
                      targets=t,
                      m0=m0,
                      budget_used=float(budget - remaining),
-                     concave=concave,
                      h_out=h_out)

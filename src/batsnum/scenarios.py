@@ -102,6 +102,14 @@ def _typed(value, kind, path):
     return value
 
 
+def _names(value, path):
+    """`value` as a list of names: strings, or numbers made strings."""
+    for i, x in enumerate(_typed(value, list, path)):
+        if not isinstance(x, (str, int, float)):
+            raise ValidationError(f"{path}[{i}]: expected a name, got {x!r}")
+    return [str(x) for x in value]
+
+
 def _object(value, path, known):
     """`value` as a dict whose keys are all in `known`; a ValidationError
     names `path` if not."""
@@ -122,7 +130,7 @@ LOSS_FIELDS = {"independent": ("epsilon",),
 
 def _loss_spec(doc, path):
     kind = _typed(doc, dict, path).get("kind")
-    if kind not in LOSS_FIELDS:
+    if not isinstance(kind, str) or kind not in LOSS_FIELDS:
         raise ValidationError(f"{path}: unknown loss kind {kind!r}")
     _object(doc, path, ("kind",) + LOSS_FIELDS[kind])
     try:
@@ -158,7 +166,7 @@ def scenario_from_config(doc):
                           head=str(ld["to"]),
                           capacity=_number(ld["capacity"], f"{path}.capacity"),
                           loss=_loss_spec(ld["loss"], f"{path}.loss")))
-    net = Network(nodes=list(_typed(doc["nodes"], list, "nodes")), links=links)
+    net = Network(nodes=_names(doc["nodes"], "nodes"), links=links)
     inter = doc.get("interference", "two-hop")
     if inter == "two-hop":
         net.interference = two_hop_interference(net)
@@ -167,7 +175,8 @@ def scenario_from_config(doc):
     elif inter == "none":
         net.interference = {l.id: frozenset() for l in links}
     elif isinstance(inter, dict):
-        net.interference = {e: frozenset(v) for e, v in inter.items()}
+        net.interference = {e: frozenset(_names(v, f"interference.{e}"))
+                            for e, v in inter.items()}
     else:
         raise ValidationError("interference must be two-hop|all|none|mapping")
     net.__post_init__()  # re-validate with the final interference sets
@@ -181,8 +190,8 @@ def scenario_from_config(doc):
         if fd.get("batch_size", M) != M:
             raise ValidationError(f"{path}: batch_size {fd['batch_size']!r} "
                                   f"differs from code.batch_size {M}")
-        flow = Flow(id=str(fd.get("id", f"f{i+1}")), batch_size=M, links=tuple(
-            str(x) for x in _typed(fd["links"], list, f"{path}.links")))
+        flow = Flow(id=str(fd.get("id", f"f{i+1}")), batch_size=M,
+                    links=tuple(_names(fd["links"], f"{path}.links")))
         if flow.id in {f.id for f in flows}:
             raise ValidationError(f"{path}.id: duplicate flow id {flow.id!r}")
         try:

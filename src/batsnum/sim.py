@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ffmat
-from .loss import GEChannel
+from .loss import Channel
 from .netmodel import Schedule
+
+FEASIBILITY_TOL = 1e-6  # link-constraint violation a solution may carry
+STABLE_SLOPE = 0.01  # packets/slot a stable node's buffer grows by, at most
 
 
 @dataclass
@@ -32,7 +35,7 @@ class SimReport:
     completed: dict          # flow id -> batches closed at the destination
     delivered_rank: dict     # flow id -> total delivered rank
     utilities: dict          # flow id -> log(delivered rank per slot)
-    buffer_series: np.ndarray | None   # (slots, nodes) packets awaiting send
+    buffer_series: np.ndarray  # (slots, nodes) packets awaiting send
     buffer_nodes: list
     link_stats: dict         # link id -> {"sent": n, "received": n}
     link_innovation: dict    # link id -> {"innovative": n, "redundant": n}
@@ -119,24 +122,6 @@ class _RxState:
     basis: ffmat.RowBasis = field(default_factory=ffmat.RowBasis)
 
 
-class _LossChannel:
-    """Per-link loss process advanced once per transmitted packet."""
-
-    def __init__(self, spec, rng):
-        self.rng = rng
-        if spec.kind == "independent":
-            self.p_recv = 1.0 - spec.epsilon
-            self.ge = None
-        else:
-            self.ge = GEChannel(spec.ge)
-            self.ge.reset_from_steady_state(rng)
-
-    def transmit(self):
-        if self.ge is None:
-            return self.rng.random() < self.p_recv
-        return self.ge.step(self.rng)[0]
-
-
 def recode_batch(basis, policy, rank, q, rng):
     """Transmit coefficient rows for a closed batch: as many uniform random
     combinations of the basis rows as the policy draws for its rank."""
@@ -148,7 +133,7 @@ def recode_batch(basis, policy, rank, q, rng):
 
 
 def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
-                   frame_length=1000, record_buffers=True, feasibility_tol=1e-6):
+                   frame_length=1000):
     """Drive the solved configuration through a packet-level run.
 
     Per slot: sources emit batches at their solved rates, links active in
@@ -167,7 +152,7 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
         raise SimulationInputError(f"code.field_size {q} cannot be simulated; "
                                    f"supported: {ffmat.SUPPORTED_FIELDS}")
     viol = solution.constraint_violation(scenario)
-    if viol > feasibility_tol:
+    if viol > FEASIBILITY_TOL:
         raise SimulationInputError(
             f"solution violates a link constraint by {viol:.3e}")
     frame = build_tdma_frame(solution.schedule_weights, frame_length)
@@ -180,7 +165,7 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     rx = [[_RxState() for _ in f.links] for f in flows]
     died = [[0] * len(f.links) for f in flows]
     # per link position
-    channels = [_LossChannel(l.loss, r)
+    channels = [Channel(l.loss, r)
                 for l, r in zip(links, seeds[0].spawn(len(links)))]
     queues = [deque() for _ in links]
     credit = [0.0] * len(links)
@@ -190,8 +175,7 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     buffer_nodes = list(net.nodes)
     tail = [buffer_nodes.index(l.tail) for l in links]
     queued = [0] * len(buffer_nodes)
-    buffers = (np.zeros((slots, len(buffer_nodes)), dtype=np.int32)
-               if record_buffers else None)
+    buffers = np.zeros((slots, len(buffer_nodes)), dtype=np.int32)
 
     sources = [BatchSource(float(a)) for a in solution.alpha]
     emitted, completed = [0] * len(flows), [0] * len(flows)
@@ -268,8 +252,7 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
                         close_batch(i, j, st)
             if not qq:
                 credit[k] = 0.0  # service is use-it-or-lose-it when idle
-        if record_buffers:
-            buffers[slot] = queued
+        buffers[slot] = queued
 
     # every emitted batch was delivered or vanished, or is queued or open
     for i, f in enumerate(flows):
@@ -293,9 +276,6 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
         died=dict(zip(ids, died)))
 
 
-STABLE_SLOPE = 0.01  # packets/slot a stable node's buffer grows by, at most
-
-
 @dataclass
 class StabilityReport:
     slopes: dict
@@ -307,13 +287,10 @@ def buffer_stability(report):
 
     Stable when every node's slope stays below STABLE_SLOPE.
     """
-    if report.buffer_series is None:
-        raise ValueError("report carries no buffer series")
     n = report.buffer_series.shape[0]
     if n < 2:
         return StabilityReport(slopes={}, stable=True)
-    half = n // 2
-    ys = report.buffer_series[half:]
+    ys = report.buffer_series[n // 2:]
     x = np.arange(ys.shape[0], dtype=float)
     x -= x.mean()
     denom = float((x * x).sum())

@@ -460,8 +460,6 @@ class LocalSearchResult:
     alpha: float
     m: list
     objective: float
-    history: list
-    threshold_stop: bool
 
 
 def _neighborhood_ranks(W_list, opts, M):
@@ -517,30 +515,25 @@ def flow_subproblem_local_search(scenario, flow, multipliers, init_m=None):
     Starts from `init_m` (default: the per-link count whose expected
     deliveries equal the batch size) and repeats the exhaustive
     neighborhood step until it stalls or the improvement drops below
-    SEARCH_THRESHOLD (the stopping rule for zero-price links, reported via
-    threshold_stop). Returns the log-utility-optimal batch rate
-    alpha = 1 / sum_e lam_e m_e for the final counts.
+    SEARCH_THRESHOLD (the stopping rule for zero-price links). Returns the
+    log-utility-optimal batch rate alpha = 1 / sum_e lam_e m_e for the
+    final counts.
     """
     ctx = scenario.flow_search(flow)
     lam_path = np.asarray(multipliers, dtype=float)[ctx.idx]
     m = [int(x) for x in (ctx.init_m if init_m is None else init_m)]
     cur = -np.inf
-    history = []
-    threshold_stop = False
     for _ in range(SEARCH_MAX_ROUNDS):
         m2, obj = _neighborhood_best(ctx, m, lam_path, scenario.M)
         if m2 == m:
             cur = max(cur, obj)
             break
         if obj - cur < SEARCH_THRESHOLD and np.isfinite(cur):
-            threshold_stop = True
             break
         m, cur = m2, obj
-        history.append((tuple(m), cur))
     den = float(lam_path @ np.array(m))
     alpha = 1.0 / den if den > 0 else math.inf
-    return LocalSearchResult(alpha=alpha, m=m, objective=cur,
-                             history=history, threshold_stop=threshold_stop)
+    return LocalSearchResult(alpha=alpha, m=m, objective=cur)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +710,6 @@ def _flow_two_step(scenario, flow, m_vec, alpha):
     """Scan the batch-rate scale eta; per-hop budget m_e/eta greedily realloc'd."""
     models = [scenario.loss_model(e) for e in flow.links]
     caps = scenario.flow_caps(flow)
-    arange = np.arange(scenario.M + 1, dtype=float)
     source = rankcalc.source_distribution(scenario.M)
 
     def realloc(eta):
@@ -726,7 +718,7 @@ def _flow_two_step(scenario, flow, m_vec, alpha):
             hops.append(recoding.optimize_hop(h, model, me / eta, scenario.q,
                                               scenario.M, int(cap)))
             h = hops[-1].h_out
-        return float(h @ arange), hops
+        return hops[-1].expected_rank, hops
 
     grid = np.arange(ETA_START, ETA_STOP + ETA_STEP / 2, ETA_STEP)
     best_eta, best_val = 1.0, -np.inf

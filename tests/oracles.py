@@ -198,11 +198,10 @@ def neighborhood_best_reference(W_list, m, lam_path, caps, M):
 
 def local_search_reference(W_list, lam_path, caps, init_m, M, threshold,
                            max_rounds=1000):
-    """Repeated neighborhood steps from init_m; (m, objective, history,
+    """Repeated neighborhood steps from init_m; (m, objective,
     threshold_stop) with the stopping rules of the package's search."""
     m = [int(x) for x in init_m]
     cur = -np.inf
-    history = []
     threshold_stop = False
     for _ in range(max_rounds):
         m2, obj = neighborhood_best_reference(W_list, m, lam_path, caps, M)
@@ -213,8 +212,7 @@ def local_search_reference(W_list, lam_path, caps, init_m, M, threshold,
             threshold_stop = True
             break
         m, cur = m2, obj
-        history.append((tuple(m), cur))
-    return m, cur, history, threshold_stop
+    return m, cur, threshold_stop
 
 
 def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
@@ -230,9 +228,6 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
         raise ValueError("budget must be nonnegative")
     cap = min(m0, model.m_max)
     E1 = rankcalc.expected_rank_table(model, q, M)
-    d2 = np.diff(E1[1:, :cap + 1], n=2, axis=1)
-    concave = bool(d2.size == 0 or d2.max() <= 1e-6)
-
     t = np.zeros(M + 1)
     ti = np.zeros(M + 1, dtype=int)
     remaining = float(budget)
@@ -261,7 +256,6 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
                      targets=t,
                      m0=m0,
                      budget_used=float(budget - remaining),
-                     concave=concave,
                      h_out=h_out)
 
 

@@ -115,6 +115,14 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
         flows=[{"links": ["e1", "e2"]}, {"id": "f1", "links": ["e2"]}])),
     ("nap", "links[0].loss: missing field 'epsilon'",
      lambda d: d["links"][0].update(loss={"kind": "independent"})),
+    # each of the next four ended in a TypeError traceback
+    ("nap", "nodes[1]", lambda d: d.update(nodes=["a", ["b"], "c"])),
+    ("nap", "links[0].loss", lambda d: d["links"][0]["loss"].update(
+        kind=["independent"])),
+    ("nap", "interference.e1", lambda d: d.update(
+        interference={"e1": 5, "e2": []})),
+    ("nap", "interference.e1[0]", lambda d: d.update(
+        interference={"e1": [["e2"]], "e2": ["e1"]})),
 ] + [("nap", "solver", lambda d, k=k: d["solver"].update({k: 1}))
      for k in REMOVED_SOLVER_FIELDS],
     ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
@@ -123,7 +131,9 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
          "loss_model_stationarize", "loss_model_stationarize_false",
          "loss_model_typo", "code_typo", "seeds_typo", "top_level_typo",
          "link_typo", "loss_typo", "ge_loss_with_epsilon", "flow_typo",
-         "duplicate_flow_id", "epsilon_missing", *REMOVED_SOLVER_FIELDS])
+         "duplicate_flow_id", "epsilon_missing", "node_list", "loss_kind_list",
+         "interference_int", "interference_entry_list",
+         *REMOVED_SOLVER_FIELDS])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)
@@ -190,6 +200,21 @@ def test_export_config_loads_back(tmp_path, tiny_path, capsys):
     p.write_text(exported)
     assert cli.main(["export-config", "--scenario", str(p)]) == 0
     assert capsys.readouterr().out == exported
+
+
+def test_numeric_node_names_load(tmp_path, capsys):
+    # node names coerce to strings like link endpoints, so they still match
+    doc = copy.deepcopy(TINY)
+    doc["nodes"] = [0, 1, 2]
+    for i, link in enumerate(doc["links"]):
+        link.update({"from": i, "to": i + 1})
+    p = tmp_path / "numeric.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["export-config", "--scenario", str(p)]) == 0
+    exported = json.loads(capsys.readouterr().out)
+    assert exported["nodes"] == ["0", "1", "2"]
+    assert [(l["from"], l["to"]) for l in exported["links"]] == [
+        ("0", "1"), ("1", "2")]
 
 
 def test_export_config_presets_load_back(tmp_path, capsys):

@@ -6,8 +6,9 @@ and package-relative imports are allowed, and any other import must be
 one of `ALLOWED`. Test oracles may import more (scipy.optimize, for
 one), so only the package sources are checked. Every `def` and `class`
 there must be named somewhere in the package, the scripts or the
-benchmark, and every `SolverConfig` field must be set by a script, the
-benchmark or README's scenario example.
+benchmark, every other dataclass field must be read there, and every
+`SolverConfig` field must be set by a script, the benchmark or README's
+scenario example.
 """
 
 import ast
@@ -99,6 +100,32 @@ def test_every_package_name_has_a_reader():
                 for used, line, reaches_method in found)
             if not read:
                 unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, unread
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field in `src/batsnum/` that nothing in the package, the
+    scripts or the benchmark reads as an attribute is written for the tests
+    only. `SolverConfig` fields are settings; the next test governs them."""
+    read = {node.attr for d in READERS for p in sorted((ROOT / d).glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+              for path in sorted(SRC.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              and cls.name != SolverConfig.__name__
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
     assert not unread, unread
 
 

@@ -114,3 +114,18 @@ def test_row_reduce_spans_row_space():
     assert matrix_rank(basis) == r == matrix_rank(A)
     stacked = np.vstack([A, basis])
     assert matrix_rank(stacked) == r
+
+
+@pytest.mark.parametrize("n,k,p", [(4, 7, 5), (3, 300, 2), (1, 1, 1),
+                                   (0, 5, 3), (3, 0, 4), (2, 6, 0)])
+def test_gf2_matmul_is_integer_product_mod_2(n, k, p):
+    # over the subfield {0, 1}, GF(256) products and sums are AND and XOR;
+    # k = 300 sums more terms than a byte counts
+    rng = np.random.default_rng(n * 1000 + k * 10 + p)
+    for _ in range(5):
+        A = ffmat.random_matrix(n, k, rng, q=2)
+        B = ffmat.random_matrix(k, p, rng, q=2)
+        got = ffmat.gf_matmul(A, B, q=2)
+        want = (A.astype(np.int64) @ B.astype(np.int64)) % 2
+        assert got.dtype == np.uint8 and got.shape == (n, p)
+        assert np.array_equal(got, want)

@@ -45,53 +45,54 @@ def test_ge_average_loss_rates_exact(params, rate):
 
 
 def test_ge_step_always_received_in_good_state():
-    ge = loss.GEParams(1.0, 0.0, 0.5, 0.5)
+    # s_good 1, s_bad 0: a packet arrives iff the channel sends it from G
+    spec = loss.LossSpec.gilbert_elliott(1.0, 0.0, 0.5, 0.5)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        ch = loss.GEChannel(ge, state=loss.GEChannel.GOOD)
-        received, _ = ch.step(rng)
-        assert received
+        ch = loss.Channel(spec, rng)
+        for _ in range(5):
+            good = ch.good
+            assert ch.transmit() == good
 
 
 def test_ge_long_run_loss_rate():
-    ch = loss.GEChannel(loss.GEParams(1.0, 0.8, 1e-3, 1e-3))
-    rng = np.random.default_rng(5)
-    ch.reset_from_steady_state(rng)
+    ch = loss.Channel(loss.LossSpec.gilbert_elliott(1.0, 0.8, 1e-3, 1e-3),
+                      np.random.default_rng(5))
     n = 200_000
-    lost = sum(1 for _ in range(n) if not ch.step(rng)[0])
+    lost = sum(1 for _ in range(n) if not ch.transmit())
     se = math.sqrt(0.1 * 0.9 / n)
     # state is sticky, so allow a generous multiple of the iid deviation
     assert abs(lost / n - 0.1) < 30 * se
 
 
 def test_ge_symmetric_state_occupancy():
-    ch = loss.GEChannel(loss.GEParams(1.0, 0.0, 0.02, 0.02))
-    rng = np.random.default_rng(9)
-    ch.reset_from_steady_state(rng)
+    ch = loss.Channel(loss.LossSpec.gilbert_elliott(1.0, 0.0, 0.02, 0.02),
+                      np.random.default_rng(9))
     n = 100_000
     good = 0
     for _ in range(n):
-        good += ch.state == loss.GEChannel.GOOD
-        ch.step(rng)
+        good += ch.good
+        ch.transmit()
     # effective samples ~ n * p_switch; 3 sigma on that scale
     se = 0.5 / math.sqrt(n * 0.02)
     assert abs(good / n - 0.5) <= 3 * se
 
 
-def test_empirical_independent_matches_binomial():
-    spec = loss.LossSpec.independent(0.2)
-    model = loss.empirical_loss_model(spec, m_max=12, samples=20000, rng_seed=4)
-    exact = loss.independent_loss_model(0.2, 12)
-    for m in (1, 5, 12):
-        for r in range(m + 1):
-            p = exact.q_table[m, r]
-            se = math.sqrt(p * (1 - p) / 20000)
-            assert abs(model.q_table[m, r] - p) <= 3 * se + 1e-9
+def test_independent_channel_one_draw_per_packet():
+    ch = loss.Channel(loss.LossSpec.independent(0.3), np.random.default_rng(4))
+    got = [ch.transmit() for _ in range(50)]
+    assert got == list(np.random.default_rng(4).random(50) < 1.0 - 0.3)
+
+
+def test_empirical_rejects_independent_loss():
+    # independent loss has the exact binomial model; nothing estimates it
+    with pytest.raises(loss.ParameterError):
+        loss.empirical_loss_model(loss.LossSpec.independent(0.2), m_max=12)
 
 
 def test_empirical_single_sample_point_mass():
     # one path: its only window of length m_max is the path itself
-    spec = loss.LossSpec.independent(0.3)
+    spec = loss.LossSpec.gilbert_elliott(1.0, 0.6, 1e-3, 1e-3)
     model = loss.empirical_loss_model(spec, m_max=6, samples=1, rng_seed=1)
     assert np.isclose(model.q_table[6].max(), 1.0)
 
@@ -150,9 +151,8 @@ def test_path_sampler_matches_stepped_chain():
     rng = np.random.default_rng(99)
     counts = np.zeros(m + 1)
     for _ in range(n):
-        ch = loss.GEChannel(params)
-        ch.reset_from_steady_state(rng)
-        got = sum(1 for _ in range(m) if ch.step(rng)[0])
+        ch = loss.Channel(spec, rng)
+        got = sum(1 for _ in range(m) if ch.transmit())
         counts[got] += 1
     stepped = counts / n
     for r in range(m + 1):

@@ -140,11 +140,6 @@ def _nonconcave_model():
     return loss.BatchLossModel(m_max=m_max, q_table=tab)
 
 
-def test_optimize_hop_flags_nonconcave_model():
-    res = optimize_hop(unit_h(4, 4), _nonconcave_model(), 5.0, 256, 4, 8)
-    assert not res.concave
-
-
 def _random_h(rng, M):
     if rng.random() < 0.2:
         return unit_h(M, int(rng.integers(0, M + 1)))
@@ -161,8 +156,9 @@ def test_optimize_hop_bit_equal_to_budget_loop():
               loss.independent_loss_model(0.4, 24),
               loss.empirical_loss_model(ge, m_max=24, samples=2000,
                                         rng_seed=5),
-              loss.empirical_loss_model(loss.LossSpec.independent(0.3),
-                                        m_max=24, samples=2000, rng_seed=5),
+              loss.empirical_loss_model(
+                  loss.LossSpec.gilbert_elliott(1.0, 0.6, 1e-2, 1e-2),
+                  m_max=24, samples=2000, rng_seed=5),
               _nonconcave_model()]
     rng = np.random.default_rng(2016)
     checked = 0
@@ -173,7 +169,7 @@ def test_optimize_hop_bit_equal_to_budget_loop():
                 m0 = int(rng.integers(0, model.m_max + 1))
                 fundable = h > 0
                 fundable[0] = False
-                order, _ = recoding._greedy_order(
+                order = recoding._greedy_order(
                     model, 256, M, min(m0, model.m_max), fundable)
                 costs = h[order]
                 full = float(costs.sum())
@@ -188,7 +184,6 @@ def test_optimize_hop_bit_equal_to_budget_loop():
                     assert np.array_equal(got.targets, want.targets)
                     assert got.budget_used == want.budget_used
                     assert got.expected_rank == want.expected_rank
-                    assert got.concave == want.concave
                     assert np.array_equal(got.policy.p, want.policy.p)
                     assert np.array_equal(got.h_out, want.h_out)
                     checked += 1
@@ -199,11 +194,11 @@ def test_greedy_order_cached_read_only():
     model = loss.independent_loss_model(0.2, 20)
     fundable = np.ones(5, dtype=bool)
     fundable[0] = False
-    order, concave = recoding._greedy_order(model, 256, 4, 12, fundable)
-    assert concave and len(order) == 4 * 12
+    order = recoding._greedy_order(model, 256, 4, 12, fundable)
+    assert len(order) == 4 * 12
     with pytest.raises(ValueError):
         order[0] = 1
-    assert recoding._greedy_order(model, 256, 4, 12, fundable)[0] is order
+    assert recoding._greedy_order(model, 256, 4, 12, fundable) is order
 
 
 def test_policy_json_roundtrip():

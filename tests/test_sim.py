@@ -154,9 +154,9 @@ def test_infeasible_solution_rejected():
 
 def test_overdriven_run_is_unstable():
     sc = single_link_scenario(eps=0.2)
-    sol = manual_solution(sc, m=20, alpha=0.075)  # 1.5x beyond feasibility
-    rep = run_simulation(sc, sol, slots=30_000, rng_seed=3,
-                         feasibility_tol=np.inf)
+    # load 1.5 on the capacity-1 link, passed off as a rate-1.5 solution
+    sol = manual_solution(sc, m=20, alpha=0.075, rate=1.5)
+    rep = run_simulation(sc, sol, slots=30_000, rng_seed=3)
     st = buffer_stability(rep)
     assert not st.stable
     assert st.slopes["a"] > 0.01

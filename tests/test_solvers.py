@@ -10,7 +10,8 @@ from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
 from batsnum.solvers import (SEARCH_THRESHOLD, Scenario, Solution,
-                             SolverConfig, flow_subproblem_local_search,
+                             SolverConfig, _neighborhood_best,
+                             flow_subproblem_local_search,
                              solve_fixed_policy, solve_nap, solve_up,
                              utility_ratio)
 
@@ -126,9 +127,11 @@ def test_local_search_joint_escape_and_reference_values():
         if m == before:
             break
     assert m == [5, 5]
-    # joint neighborhood search escapes via (6,6)
+    # joint neighborhood search escapes via (6,6): its first move
+    first, _ = _neighborhood_best(sc.flow_search(sc.flows[0]), [5, 5], lam,
+                                  sc.M)
+    assert first == [6, 6]
     res = flow_subproblem_local_search(sc, sc.flows[0], lam, init_m=[5, 5])
-    assert res.history[0][0] == (6, 6)
     assert res.objective > obj(5, 5)
 
 
@@ -136,8 +139,13 @@ def test_local_search_all_zero_prices_threshold_stop():
     # free links: the search climbs the expected rank alone and stops when
     # a step gains less than SEARCH_THRESHOLD, well below the caps
     sc = make_line_scenario(2)
-    res = flow_subproblem_local_search(sc, sc.flows[0], np.zeros(2))
-    assert res.threshold_stop
+    flow = sc.flows[0]
+    res = flow_subproblem_local_search(sc, flow, np.zeros(2))
+    m, objective, threshold_stop = local_search_reference(
+        [sc.hop_tables(e) for e in flow.links], np.zeros(2),
+        sc.flow_caps(flow), sc.flow_search(flow).init_m, sc.M,
+        SEARCH_THRESHOLD)
+    assert threshold_stop and (res.m, res.objective) == (m, objective)
     assert all(m < cap for m, cap in zip(res.m, sc.flow_caps(sc.flows[0])))
     assert math.isinf(res.alpha)
 
@@ -170,8 +178,7 @@ def test_local_search_matches_unmemoized_reference(flow_index):
                 W_list, lam[idx], caps,
                 default_m if init_m is None else init_m, sc.M,
                 SEARCH_THRESHOLD)
-            assert (res.m, res.objective, res.history,
-                    res.threshold_stop) == ref
+            assert (res.m, res.objective) == ref[:2]
         warm = res.m
     memo = sc.flow_search(flow).memo
     assert len(memo) > 1
@@ -196,8 +203,7 @@ def test_local_search_counts_above_255_match_reference():
             res = flow_subproblem_local_search(sc, flow, lam, init_m=init_m)
             ref = local_search_reference(W_list, lam, caps, init_m, sc.M,
                                          SEARCH_THRESHOLD)
-            assert (res.m, res.objective, res.history,
-                    res.threshold_stop) == ref
+            assert (res.m, res.objective) == ref[:2]
     assert max(max(k) for k in sc.flow_search(flow).memo) > 255
 
 
