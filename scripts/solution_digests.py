@@ -7,7 +7,10 @@ NAP and two-step `Solution.to_json()` (the digests frozen in
 counts per flow and hop, the NAP schedule count, the candidate-pool size,
 the column-generation rounds, columns per flow and bound, the NAP wall
 time (loss models and search tables built beforehand), the allocation
-certificate and the scheduled link rates.
+certificate and the scheduled link rates. Under `estimation` it holds, per
+distinct bursty channel (keyed `s_good/s_bad/p_gb/p_bg`), the SHA-1 of the
+estimated q-table and the seconds its estimation took; under `sweep_s`, the
+wall time of the whole sweep, estimation included.
 
     python scripts/solution_digests.py --out new.json
     python scripts/solution_digests.py --out new.json --compare old.json
@@ -15,7 +18,8 @@ certificate and the scheduled link rates.
 With `--compare` it prints, per instance, the signed change of U(nap) and
 U(two-step), |dU~|, whether the NAP counts are unchanged, the pool sizes,
 the schedule counts, the largest move of a link rate, the rounds and the
-NAP wall times.
+NAP wall times, then per channel whether the q-table is unchanged and the
+estimation seconds, and the sweep's wall time.
 """
 
 import argparse
@@ -32,6 +36,22 @@ INSTANCES = [(case, family) for family in ("iid", "ge") for case in range(1, 12)
 
 def digest(sol):
     return hashlib.sha1(sol.to_json().encode()).hexdigest()
+
+
+def estimation():
+    """SHA-1 and first-call seconds of each distinct bursty channel's model."""
+    out = {}
+    for case in range(1, 12):
+        sc = load_scenario(f"case{case}", loss_family="ge")
+        for link in sc.network.links:
+            ge = link.loss.ge
+            key = f"{ge.s_good}/{ge.s_bad}/{ge.p_gb}/{ge.p_bg}"
+            if key not in out:
+                start = time.perf_counter()
+                table = sc.loss_model(link.id).q_table
+                out[key] = {"s": round(time.perf_counter() - start, 3),
+                            "sha1": hashlib.sha1(table.tobytes()).hexdigest()}
+    return out
 
 
 def record(case, family):
@@ -73,8 +93,9 @@ def compare(old, new):
     print("| instance | dU(nap) | dU(two-step) | \\|dU~\\| | same NAP counts "
           "| pool | schedules | max \\|d rate\\| | rounds | NAP s |")
     print("|---|---|---|---|---|---|---|---|---|---|")
-    for key, n in new.items():
-        o = old[key]
+    for case, family in INSTANCES:
+        key = f"{family} {case}"
+        o, n = old[key], new[key]
         print(f"| {key} "
               f"| {delta_total(o['nap_utilities'], n['nap_utilities']):+.2g} "
               f"| {delta_total(o['two_step_utilities'], n['two_step_utilities']):+.2g} "
@@ -85,6 +106,12 @@ def compare(old, new):
               f"| {max_delta(o['rate_vector'], n['rate_vector']):.2g} "
               f"| {n['rounds']} "
               f"| {o.get('nap_s', '-')} -> {n['nap_s']} |")
+    print("\n| channel | same q-table | estimation s |\n|---|---|---|")
+    for key, n in new["estimation"].items():
+        o = old.get("estimation", {}).get(key, {})
+        print(f"| {key} | {'yes' if o.get('sha1') == n['sha1'] else 'NO'} "
+              f"| {o.get('s', '-')} -> {n['s']} |")
+    print(f"\nsweep: {old.get('sweep_s', '-')} -> {new['sweep_s']} s")
 
 
 def main():
@@ -93,8 +120,11 @@ def main():
     ap.add_argument("--compare", metavar="OLD.json",
                     help="earlier document to print the differences against")
     args = ap.parse_args()
-    doc = {f"{family} {case}": record(case, family)
-           for case, family in INSTANCES}
+    start = time.perf_counter()
+    doc = {"estimation": estimation()}
+    doc.update({f"{family} {case}": record(case, family)
+                for case, family in INSTANCES})
+    doc["sweep_s"] = round(time.perf_counter() - start, 3)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
     if args.compare:

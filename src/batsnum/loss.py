@@ -112,7 +112,8 @@ class BatchLossModel:
                          compare=False)
 
     def __post_init__(self):
-        self.q_table = np.asarray(self.q_table, dtype=float)
+        self.q_table = np.array(self.q_table, dtype=float)  # private copy
+        self.q_table.flags.writeable = False  # shared through solver caches
         if self.q_table.shape != (self.m_max + 1, self.m_max + 1):
             raise ParameterError(
                 f"q_table shape {self.q_table.shape} != {(self.m_max + 1,) * 2}")
@@ -163,11 +164,11 @@ def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0):
     """Estimate q(r|m) from the cyclic windows of simulated packet paths.
 
     Samples `samples` paths of m_max packets each (channel state carried
-    within a path, drawn from the steady state across paths) and
-    histograms every cyclic window of length m per path. The empirical
-    process is shift-invariant by construction, so the per-hop
-    expected-rank curves it yields are exactly monotone and concave, as
-    the per-hop recoding optimizer needs.
+    within a path, drawn from the steady state across paths) and counts
+    every cyclic window of length m per path, paths where every packet
+    arrives in closed form. The empirical process is shift-invariant by
+    construction, so the per-hop expected-rank curves it yields are
+    exactly monotone and concave, as the per-hop recoding optimizer needs.
     """
     if spec.ge is None:
         raise ParameterError("only gilbert_elliott loss is estimated")
@@ -175,15 +176,21 @@ def empirical_loss_model(spec, m_max=100, samples=10000, rng_seed=0):
         raise ParameterError("samples must be >= 1")
     if m_max < 1:
         raise ParameterError("m_max must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    tab = np.zeros((m_max + 1, m_max + 1))
+    Z = _ge_paths(spec.ge, samples, m_max, np.random.default_rng(rng_seed))
+    whole = Z.all(axis=1)
+    ZZ = np.tile(Z[~whole], 2)
+    # the narrowest signed type holding -2*m_max - 1 also holds +2*m_max
+    C = np.zeros((len(ZZ), 2 * m_max + 1),
+                 dtype=np.min_scalar_type(-2 * m_max - 1))
+    np.cumsum(ZZ, axis=1, dtype=C.dtype, out=C[:, 1:])
+    # counts[t, r]: windows of length t with r arrivals, every t per offset
+    base = np.arange(1, m_max + 1, dtype=np.intp) * (m_max + 1)
+    counts = np.zeros((m_max + 1) ** 2, dtype=np.intp)
+    for o in range(m_max):
+        sums = base + (C[:, o + 1:o + m_max + 1] - C[:, o:o + 1])
+        counts += np.bincount(sums.ravel(), minlength=counts.size)
+    # a whole path has window sum t at each of its m_max offsets: (t, t)
+    counts[m_max + 2::m_max + 2] += m_max * int(whole.sum())
+    tab = counts.reshape(m_max + 1, m_max + 1) / (samples * m_max)
     tab[0, 0] = 1.0
-    Z = _ge_paths(spec.ge, samples, m_max, rng)
-    ZZ = np.concatenate([Z, Z], axis=1)
-    C = np.zeros((samples, 2 * m_max + 1), dtype=np.int64)
-    np.cumsum(ZZ, axis=1, out=C[:, 1:])
-    offs = np.arange(m_max)
-    for t in range(1, m_max + 1):
-        sums = C[:, offs + t] - C[:, offs]
-        tab[t, :t + 1] = np.bincount(sums.ravel(), minlength=t + 1) / sums.size
     return BatchLossModel(m_max=m_max, q_table=tab)

@@ -102,12 +102,17 @@ def _typed(value, kind, path):
     return value
 
 
+def _name(value, path):
+    """`value` as a name: a string, or a number made a string."""
+    if not isinstance(value, (str, int, float)):
+        raise ValidationError(f"{path}: expected a name, got {value!r}")
+    return str(value)
+
+
 def _names(value, path):
-    """`value` as a list of names: strings, or numbers made strings."""
-    for i, x in enumerate(_typed(value, list, path)):
-        if not isinstance(x, (str, int, float)):
-            raise ValidationError(f"{path}[{i}]: expected a name, got {x!r}")
-    return [str(x) for x in value]
+    """`value` as a list of names."""
+    return [_name(x, f"{path}[{i}]")
+            for i, x in enumerate(_typed(value, list, path))]
 
 
 def _object(value, path, known):
@@ -162,8 +167,9 @@ def scenario_from_config(doc):
         for key in LINK_FIELDS:
             if key not in ld:
                 raise ValidationError(f"{path}: missing field {key!r}")
-        links.append(Link(id=str(ld["id"]), tail=str(ld["from"]),
-                          head=str(ld["to"]),
+        links.append(Link(id=_name(ld["id"], f"{path}.id"),
+                          tail=_name(ld["from"], f"{path}.from"),
+                          head=_name(ld["to"], f"{path}.to"),
                           capacity=_number(ld["capacity"], f"{path}.capacity"),
                           loss=_loss_spec(ld["loss"], f"{path}.loss")))
     net = Network(nodes=_names(doc["nodes"], "nodes"), links=links)
@@ -190,7 +196,8 @@ def scenario_from_config(doc):
         if fd.get("batch_size", M) != M:
             raise ValidationError(f"{path}: batch_size {fd['batch_size']!r} "
                                   f"differs from code.batch_size {M}")
-        flow = Flow(id=str(fd.get("id", f"f{i+1}")), batch_size=M,
+        flow = Flow(id=_name(fd.get("id", f"f{i+1}"), f"{path}.id"),
+                    batch_size=M,
                     links=tuple(_names(fd["links"], f"{path}.links")))
         if flow.id in {f.id for f in flows}:
             raise ValidationError(f"{path}.id: duplicate flow id {flow.id!r}")

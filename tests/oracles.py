@@ -10,7 +10,8 @@ by tests only, never by a package path: `expected_rank_gradient` with
 scalar operations `gf_mul` and `gf_inv`, `expected_rank_after_hop` and
 `propagate` over the rank calculus, and `schedule_is_feasible`,
 `max_weight_schedule` and `decompose_rate_vector` (with
-`DecompositionError`) over the schedules.
+`DecompositionError`) over the schedules. `empirical_loss_model_reference`
+shares the package's path sampler and recounts the windows the slow way.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from batsnum import ffmat, rankcalc
+from batsnum import ffmat, loss, rankcalc
 from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.netmodel import (ValidationError, max_weight_index,
                               schedule_rate_matrix)
@@ -257,6 +258,23 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
                      m0=m0,
                      budget_used=float(budget - remaining),
                      h_out=h_out)
+
+
+def empirical_loss_model_reference(spec, m_max, samples, rng_seed):
+    """The windowed q-table of `loss.empirical_loss_model`, counted with one
+    int64 gather, subtraction and bincount per window length t."""
+    rng = np.random.default_rng(rng_seed)
+    tab = np.zeros((m_max + 1, m_max + 1))
+    tab[0, 0] = 1.0
+    Z = loss._ge_paths(spec.ge, samples, m_max, rng)
+    ZZ = np.concatenate([Z, Z], axis=1)
+    C = np.zeros((samples, 2 * m_max + 1), dtype=np.int64)
+    np.cumsum(ZZ, axis=1, out=C[:, 1:])
+    offs = np.arange(m_max)
+    for t in range(1, m_max + 1):
+        sums = C[:, offs + t] - C[:, offs]
+        tab[t, :t + 1] = np.bincount(sums.ravel(), minlength=t + 1) / sums.size
+    return tab
 
 
 def support_columns(policy):

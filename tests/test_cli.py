@@ -123,6 +123,11 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
         interference={"e1": 5, "e2": []})),
     ("nap", "interference.e1[0]", lambda d: d.update(
         interference={"e1": [["e2"]], "e2": ["e1"]})),
+    # each of the next four was read through str() unchecked
+    ("up", "flows[0].id", lambda d: d["flows"][0].update(id=["f1"])),
+    ("up", "links[0].id", lambda d: d["links"][0].update(id=["e1"])),
+    ("up", "links[0].from", lambda d: d["links"][0].update({"from": ["a"]})),
+    ("up", "links[0].to", lambda d: d["links"][0].update(to=["b"])),
 ] + [("nap", "solver", lambda d, k=k: d["solver"].update({k: 1}))
      for k in REMOVED_SOLVER_FIELDS],
     ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
@@ -132,7 +137,8 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
          "loss_model_typo", "code_typo", "seeds_typo", "top_level_typo",
          "link_typo", "loss_typo", "ge_loss_with_epsilon", "flow_typo",
          "duplicate_flow_id", "epsilon_missing", "node_list", "loss_kind_list",
-         "interference_int", "interference_entry_list",
+         "interference_int", "interference_entry_list", "flow_id_list",
+         "link_id_list", "link_from_list", "link_to_list",
          *REMOVED_SOLVER_FIELDS])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)

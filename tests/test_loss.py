@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from batsnum import loss
-from oracles import check_monotone_concave
+from batsnum.scenarios import GE_BY_LOSS_RATE
+from batsnum.solvers import LossModelOptions
+from oracles import check_monotone_concave, empirical_loss_model_reference
 
 
 def test_independent_lossless():
@@ -159,3 +162,54 @@ def test_path_sampler_matches_stepped_chain():
         p = stepped[r]
         se = math.sqrt(max(p * (1 - p), 1e-6) / n)
         assert abs(model.q_table[m, r] - p) <= 4 * se + 2e-3
+
+
+@pytest.mark.parametrize("rate,sha1", [
+    (0.1, "eb79ad9c7d95c7b10a09ae9d6a4d10e8ac59d3c4"),
+    (0.2, "3b553c65d141ea96cfb2fdeb71c8e112b2f6cc8d"),
+    (0.4, "af263c7df1f3627cb7ef2481db6e2d299495831a"),
+])
+def test_default_ge_q_tables_frozen(rate, sha1):
+    # the bursty presets' tables at default options, as the windowed
+    # histogram of `empirical_loss_model_reference` counts them; every GE
+    # digest rests on them
+    opts = LossModelOptions()
+    spec = loss.LossSpec.gilbert_elliott(*GE_BY_LOSS_RATE[rate])
+    table = loss.empirical_loss_model(spec, m_max=opts.m_max,
+                                      samples=opts.samples,
+                                      rng_seed=opts.seed).q_table
+    assert hashlib.sha1(table.tobytes()).hexdigest() == sha1
+
+
+GRID_CHANNELS = {
+    **{f"ge{rate}": GE_BY_LOSS_RATE[rate] for rate in GE_BY_LOSS_RATE},
+    "whole": (1.0, 1.0, 0.5, 0.5),        # every packet arrives
+    "none": (0.0, 0.0, 0.5, 0.5),         # no packet ever arrives
+    "alternating": (1.0, 0.0, 1.0, 1.0),  # states alternate every packet
+}
+
+
+@pytest.mark.parametrize("samples", [1, 37, 2000])
+@pytest.mark.parametrize("m_max", [1, 2, 63, 64, 100, 300])
+@pytest.mark.parametrize("channel", sorted(GRID_CHANNELS))
+def test_empirical_equals_reference_grid(channel, m_max, samples):
+    # m_max 63 -> 64 moves the cumulative sums from int8 to int16
+    spec = loss.LossSpec.gilbert_elliott(*GRID_CHANNELS[channel])
+    got = loss.empirical_loss_model(spec, m_max=m_max, samples=samples,
+                                    rng_seed=7)
+    ref = empirical_loss_model_reference(spec, m_max, samples, 7)
+    assert np.array_equal(got.q_table, ref)
+
+
+def test_q_tables_read_only():
+    # models are shared process-wide through the scenario cache
+    tab = np.eye(3)
+    iid = loss.BatchLossModel(m_max=2, q_table=tab)
+    tab[0, 0] = 0.5  # the model holds its own copy
+    assert iid.q_table[0, 0] == 1.0 and tab.flags.writeable
+    ge = loss.empirical_loss_model(
+        loss.LossSpec.gilbert_elliott(1.0, 0.6, 1e-3, 1e-3), m_max=8,
+        samples=20, rng_seed=1)
+    for model in (iid, loss.independent_loss_model(0.2, 8), ge):
+        with pytest.raises(ValueError):
+            model.q_table[1, 0] = 0.25
