@@ -8,14 +8,24 @@ innovative, so these runs must reproduce the recorded outputs exactly.
 The `ge-adaptive` run replaced a run of the same scenario under the
 deleted systematic recoding mode; its digest was recorded with uniform
 recoding before that deletion and reproduced after it.
+
+`ACCOUNTING` freezes the per-link innovative/redundant counts and the
+per-hop vanished batches of the same four runs, which `report_digest`
+does not hash; `CASE1` freezes a whole report of the committed case-1
+benchmark solution. Both were recorded from the simulator that recoded
+in global coefficients (each recoded row multiplied out over the
+sender's basis) and drew one loss variate per call; recoding in the
+sender's local coefficients must reproduce them exactly.
 """
 
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import batsnum
 from batsnum import solvers
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, Schedule
@@ -110,6 +120,41 @@ def test_simulation_outputs_frozen(name):
     sol = line_solution(sc, policies, alpha=[0.0065, 0.007])
     rep = run_simulation(sc, sol, slots=40_000, rng_seed=seed)
     assert report_digest(rep) == want
+
+
+ACCOUNTING = {
+    "iid-uniform": "f0e825af12b71bb840e0343a5a1b0fce78e40c81",
+    "ge-uniform": "89f917272e5a081e550902659ac5017bb91bef57",
+    "iid-adaptive": "b9ecf81486dfaba46bf06592462a7391eb74ce51",
+    "ge-adaptive": "045517b9ee08323a0bc9e17d68cd75c83cf6c00e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCOUNTING))
+def test_innovation_and_vanished_batches_frozen(name):
+    losses, policies, seed, _ = RUNS[name]
+    sc = line_scenario(losses)
+    sol = line_solution(sc, policies, alpha=[0.0065, 0.007])
+    rep = run_simulation(sc, sol, slots=40_000, rng_seed=seed)
+    doc = {"link_innovation": rep.link_innovation, "died": rep.died}
+    got = hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert got == ACCOUNTING[name]
+
+
+CASE1_SOLUTION = (pathlib.Path(__file__).resolve().parent.parent
+                  / "benchmark" / "data" / "case1-iid-two-step.json")
+# SHA-1 of the sorted-key JSON of `to_json_dict()`, and of the buffer series
+CASE1 = ("eb049a4ed81078b33113630fbe7cef48d2e20cca",
+         "40221c3b85b551dd48ddaa803678adea44d24b1c")
+
+
+def test_case1_benchmark_solution_report_frozen():
+    sc = batsnum.load_scenario("case1", loss_family="iid")
+    sol = batsnum.Solution.from_json(CASE1_SOLUTION.read_text())
+    rep = run_simulation(sc, sol, slots=20_000, rng_seed=1)
+    doc = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    assert (hashlib.sha1(doc).hexdigest(),
+            hashlib.sha1(rep.buffer_series.tobytes()).hexdigest()) == CASE1
 
 
 def test_report_accounts_for_packets_and_batches():
