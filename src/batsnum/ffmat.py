@@ -112,10 +112,11 @@ class RowBasis:
 
 
 def int_rows(A):
-    """The rows of a 2-D uint8 array as ints (see `RowBasis`)."""
+    """The rows of a 2-D uint8 array as ints (see `RowBasis`); a row of no
+    columns is 0."""
     data, cols = A.tobytes(), A.shape[1]
-    return [_from_bytes(data[i:i + cols], "big")
-            for i in range(0, len(data), cols)]
+    return [_from_bytes(data[i * cols:(i + 1) * cols], "big")
+            for i in range(A.shape[0])]
 
 
 def row_reduce(A):

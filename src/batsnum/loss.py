@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+CHANNEL_BLOCK = 1024  # packets a Channel draws its doubles for at a time
 
 
 class ParameterError(ValueError):
@@ -82,24 +83,35 @@ class LossSpec:
 
 
 class Channel:
-    """A link's loss process, advanced once per packet. A bursty link starts
-    in a steady-state draw, receives from its state, then transitions."""
+    """A link's loss process: iterating yields one arrival flag per packet.
+
+    Independent loss compares one uniform double per packet with the
+    success probability. A bursty link starts in a steady-state draw, then
+    takes two doubles per packet, in this order: it receives from its
+    current state, then transitions. The doubles come CHANNEL_BLOCK packets
+    at a time from `rng.random`, which returns the same doubles as the same
+    number of scalar draws; drawing ahead is exact only because no one else
+    draws from `rng`, so every link must own its generator (the simulator
+    spawns one per link).
+    """
 
     def __init__(self, spec, rng):
-        self.rng, self.ge = rng, spec.ge
-        if self.ge is None:
-            self.p_recv = 1.0 - spec.epsilon
-        else:
-            self.good = rng.random() < self.ge.steady_state()[0]
+        self.spec, self.rng = spec, rng
 
-    def transmit(self):
-        if self.ge is None:
-            return self.rng.random() < self.p_recv
-        p, good = self.ge, self.good
-        received = self.rng.random() < (p.s_good if good else p.s_bad)
-        if self.rng.random() < (p.p_gb if good else p.p_bg):
-            self.good = not good
-        return received
+    def __iter__(self):
+        rng, block, ge = self.rng, CHANNEL_BLOCK, self.spec.ge
+        if ge is None:
+            p_recv = 1.0 - self.spec.epsilon
+            while True:
+                yield from (rng.random(block) < p_recv).tolist()
+        good = rng.random() < ge.steady_state()[0]
+        recv, leave = (ge.s_bad, ge.s_good), (ge.p_bg, ge.p_gb)
+        while True:
+            u = rng.random(2 * block).tolist()
+            for t in range(0, 2 * block, 2):
+                yield u[t] < recv[good]
+                if u[t + 1] < leave[good]:
+                    good = not good
 
 
 @dataclass

@@ -1,12 +1,18 @@
-"""Timeslotted packet-level simulator with real coefficient-vector recoding.
+"""Timeslotted packet-level simulator with random linear recoding over GF(q).
 
-Batches are tracked by their coefficient vectors over GF(q); every hop
-regenerates packets by linear combination, links lose packets through
-their own channel instances, and a TDMA frame built from the solver's
-schedule decomposition keeps interfering links apart by construction.
-Receivers reduce each arriving packet into the batch's basis at once
-(`ffmat.RowBasis`) and stop reducing when the basis reaches the sender's
-rank: every later packet lies in the sender's span and is redundant.
+A recoded packet is a uniform random combination of the sender's basis
+for its batch, and it carries its coefficients over that basis, not over
+the source packets: BATS recoding only combines packets of one batch, so
+the receiver needs nothing more. The sender's basis B has full row rank,
+so c -> cB is injective; a received row cB is innovative exactly when c
+lies outside the span of the earlier c's, and every rank equals the rank
+the source coordinates would give. Sources send in their own coordinates
+(their basis is the identity). Links lose packets through their own
+channels, and a TDMA frame built from the solver's schedule decomposition
+keeps interfering links apart by construction. Receivers reduce each
+arriving packet into the batch's basis at once (`ffmat.RowBasis`) and
+stop reducing when the basis reaches the sender's rank: every later
+packet lies in the sender's span and is redundant.
 """
 
 from __future__ import annotations
@@ -106,30 +112,37 @@ class BatchSource:
         if alpha <= 0:
             raise SimulationInputError("batch rate must be positive")
         self.alpha = alpha
-        self.acc = 0.0
 
-    def step(self):
-        """Number of batches to emit this slot."""
-        self.acc += self.alpha
-        n = int(self.acc)
-        self.acc -= n
-        return n
+    def emission_slots(self, slots):
+        """The slot of every batch emitted in the first `slots` slots, in
+        order: each slot adds alpha to the accumulator and emits its whole
+        part, which leaves the accumulator."""
+        acc, alpha, out = 0.0, self.alpha, []
+        for slot in range(slots):
+            acc += alpha
+            if acc >= 1.0:
+                n = int(acc)
+                acc -= n
+                out += [slot] * n
+        return out
 
 
 @dataclass
 class _RxState:
+    flow: int
+    hop: int
     batch: int = -1
     basis: ffmat.RowBasis = field(default_factory=ffmat.RowBasis)
 
 
-def recode_batch(basis, policy, rank, q, rng):
-    """Transmit coefficient rows for a closed batch: as many uniform random
-    combinations of the basis rows as the policy draws for its rank."""
+def recode_batch(rank, policy, q, rng):
+    """Coefficients of a closed batch's recoded packets over the sender's
+    basis: as many uniform random rows of length `rank` as the policy draws
+    for the rank, all of them empty when the rank is 0."""
     m = policy.sample_count(rank, rng)
-    if m == 0 or basis.shape[0] == 0:
-        return np.zeros((m, basis.shape[1]), dtype=np.uint8)
-    coef = ffmat.random_matrix(m, basis.shape[0], rng, q=q)
-    return ffmat.gf_matmul(coef, basis, q=q)
+    if m == 0 or rank == 0:
+        return np.zeros((m, rank), dtype=np.uint8)
+    return ffmat.random_matrix(m, rank, rng, q=q)
 
 
 def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
@@ -160,12 +173,13 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     links, flows, policies = net.links, scenario.flows, solution.policies
     flow_rng = seeds[2].spawn(len(flows))
 
-    # flow i's hop j is link position hops[i][j]; packets carry (i, j)
+    # flow i's hop j is link position hops[i][j], received into rx[i][j]
     hops = [[net.link_index(lid) for lid in f.links] for f in flows]
-    rx = [[_RxState() for _ in f.links] for f in flows]
+    rx = [[_RxState(i, j) for j in range(len(f.links))]
+          for i, f in enumerate(flows)]
     died = [[0] * len(f.links) for f in flows]
     # per link position
-    channels = [Channel(l.loss, r)
+    arrivals = [iter(Channel(l.loss, r)).__next__
                 for l, r in zip(links, seeds[0].spawn(len(links)))]
     queues = [deque() for _ in links]
     credit = [0.0] * len(links)
@@ -177,69 +191,70 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
     queued = [0] * len(buffer_nodes)
     buffers = np.zeros((slots, len(buffer_nodes)), dtype=np.int32)
 
-    sources = [BatchSource(float(a)) for a in solution.alpha]
+    # every source batch as (slot, flow), flows in index order within a slot
+    due = sorted((s, i) for i, a in enumerate(solution.alpha)
+                 for s in BatchSource(float(a)).emission_slots(slots))
+    due.append((slots, -1))
     emitted, completed = [0] * len(flows), [0] * len(flows)
     rank_hist = [np.zeros(M + 1, dtype=np.int64) for _ in flows]
     delivered = [0.0] * len(flows)
 
-    def enqueue(i, j, batch_id, rows, sender_rank):
-        # a packet is (flow, hop, batch, coefficient row packed as in
-        # ffmat.RowBasis, rank of the batch at the sender, last of batch)
+    def enqueue(st, batch_id, rows, sender_rank):
+        # a packet is (receiver state, batch, coefficient row over the
+        # sender's basis packed as in ffmat.RowBasis, rank of the batch at
+        # the sender, last of batch)
         n = rows.shape[0]
         if n == 0:
-            died[i][j] += 1
+            died[st.flow][st.hop] += 1
             return
-        k = hops[i][j]
-        queues[k].extend((i, j, batch_id, coeff, sender_rank, x == n - 1)
+        k = hops[st.flow][st.hop]
+        queues[k].extend((st, batch_id, coeff, sender_rank, x == n - 1)
                          for x, coeff in enumerate(ffmat.int_rows(rows)))
         queued[tail[k]] += n
 
-    def close_batch(i, j, state):
-        if state.batch < 0:
-            return
-        rank = state.basis.rank
+    def close_batch(st):
+        i, j, rank = st.flow, st.hop, st.basis.rank
         if j + 1 == len(hops[i]):
             rank_hist[i][rank] += 1
             delivered[i] += rank
             completed[i] += 1
         else:
-            rows = recode_batch(state.basis.to_array(M), policies[i][j + 1],
-                                rank, q, flow_rng[i])
-            enqueue(i, j + 1, state.batch, rows, rank)
-        state.batch = -1
+            rows = recode_batch(rank, policies[i][j + 1], q, flow_rng[i])
+            enqueue(rx[i][j + 1], st.batch, rows, rank)
+        st.batch = -1
 
-    identity = np.eye(M, dtype=np.uint8)
     active_links = [[(k, links[k].capacity) for k, a in enumerate(s.active)
                      if a] for s in frame]
 
+    d, next_due = 0, due[0][0]
     for slot in range(slots):
         # sources
-        for i, src in enumerate(sources):
-            for _ in range(src.step()):
-                rows = recode_batch(identity, policies[i][0], M, q,
-                                    flow_rng[i])
-                enqueue(i, 0, emitted[i], rows, M)
-                emitted[i] += 1
+        while next_due == slot:
+            i = due[d][1]
+            rows = recode_batch(M, policies[i][0], q, flow_rng[i])
+            enqueue(rx[i][0], emitted[i], rows, M)
+            emitted[i] += 1
+            d += 1
+            next_due = due[d][0]
         # scheduled transmissions
         for k, cap in active_links[slot % len(frame)]:
             qq = queues[k]
             credit[k] += cap
             while credit[k] >= 1.0 and qq:
                 credit[k] -= 1.0
-                i, j, bid, coeff, sender_rank, last = qq.popleft()
+                st, bid, coeff, sender_rank, last = qq.popleft()
                 queued[tail[k]] -= 1
                 sent[k] += 1
-                st = rx[i][j]
-                if not channels[k].transmit():
+                if not arrivals[k]():
                     # receivers cannot react to lost packets; a batch none
                     # of whose packets arrived vanishes on this hop
                     if last and st.batch != bid:
-                        died[i][j] += 1
+                        died[st.flow][st.hop] += 1
                     continue
                 received[k] += 1
                 if bid > st.batch:
                     if st.batch >= 0:
-                        close_batch(i, j, st)
+                        close_batch(st)
                     st.batch = bid
                     st.basis = ffmat.RowBasis()
                 if bid == st.batch:
@@ -249,16 +264,18 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
                     else:
                         redundant[k] += 1
                     if last:
-                        close_batch(i, j, st)
+                        close_batch(st)
             if not qq:
                 credit[k] = 0.0  # service is use-it-or-lose-it when idle
         buffers[slot] = queued
 
     # every emitted batch was delivered or vanished, or is queued or open
+    in_flight = [{st.batch for st in states if st.batch >= 0} for states in rx]
+    for qq in queues:
+        for st, bid, *_ in qq:
+            in_flight[st.flow].add(bid)
     for i, f in enumerate(flows):
-        in_flight = {pkt[2] for qq in queues for pkt in qq if pkt[0] == i}
-        in_flight |= {st.batch for st in rx[i] if st.batch >= 0}
-        assert emitted[i] == completed[i] + sum(died[i]) + len(in_flight), \
+        assert emitted[i] == completed[i] + sum(died[i]) + len(in_flight[i]), \
             f"flow {f.id} lost track of a batch"
 
     ids, lids = [f.id for f in flows], [l.id for l in links]

@@ -12,6 +12,10 @@ scalar operations `gf_mul` and `gf_inv`, `expected_rank_after_hop` and
 `max_weight_schedule` and `decompose_rate_vector` (with
 `DecompositionError`) over the schedules. `empirical_loss_model_reference`
 shares the package's path sampler and recounts the windows the slow way.
+The simulator's former paths are kept as oracles of its current ones:
+`recode_batch_global` (recoded rows multiplied out over the sender's
+basis), `ScalarChannel` (one scalar draw per call) and
+`SteppedBatchSource` (one accumulator step per slot).
 """
 
 import itertools
@@ -275,6 +279,52 @@ def empirical_loss_model_reference(spec, m_max, samples, rng_seed):
         sums = C[:, offs + t] - C[:, offs]
         tab[t, :t + 1] = np.bincount(sums.ravel(), minlength=t + 1) / sums.size
     return tab
+
+
+def recode_batch_global(basis, policy, rank, q, rng):
+    """Recoded rows over the source packets: the policy's count of uniform
+    random combinations of the sender's basis rows, multiplied out."""
+    m = policy.sample_count(rank, rng)
+    if m == 0 or basis.shape[0] == 0:
+        return np.zeros((m, basis.shape[1]), dtype=np.uint8)
+    coef = ffmat.random_matrix(m, basis.shape[0], rng, q=q)
+    return ffmat.gf_matmul(coef, basis, q=q)
+
+
+class ScalarChannel:
+    """A link's loss process, advanced once per `transmit` call by scalar
+    draws. A bursty link starts in a steady-state draw, receives from its
+    state, then transitions."""
+
+    def __init__(self, spec, rng):
+        self.rng, self.ge = rng, spec.ge
+        if self.ge is None:
+            self.p_recv = 1.0 - spec.epsilon
+        else:
+            self.good = rng.random() < self.ge.steady_state()[0]
+
+    def transmit(self):
+        if self.ge is None:
+            return self.rng.random() < self.p_recv
+        p, good = self.ge, self.good
+        received = self.rng.random() < (p.s_good if good else p.s_bad)
+        if self.rng.random() < (p.p_gb if good else p.p_bg):
+            self.good = not good
+        return received
+
+
+class SteppedBatchSource:
+    """Batch clock stepped once per slot: add alpha, emit the whole part."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+        self.acc = 0.0
+
+    def step(self):
+        self.acc += self.alpha
+        n = int(self.acc)
+        self.acc -= n
+        return n
 
 
 def support_columns(policy):

@@ -4,10 +4,11 @@ import os
 
 import pytest
 
-from batsnum import cli
+from batsnum import cli, sim
 from batsnum.scenarios import (load_scenario, preset_config,
                                scenario_from_config, scenario_to_config)
 from batsnum.netmodel import ValidationError
+from batsnum.solvers import Solution
 
 TINY = {
     "name": "tiny",
@@ -288,6 +289,27 @@ def test_cli_solve_simulate_roundtrip(tmp_path, capsys):
     assert sim_doc["buffer_stability"]["stable"] is True
     assert (tmp_path / "tiny-sim-buffers.csv").read_text().startswith(
         "slot,node,buffer_size")
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_simulate_buffer_csv_is_the_whole_series(tmp_path, tiny_solved,
+                                                 capsys, stride):
+    scenario, solution = tiny_solved
+    argv = [a.format(scenario=scenario, solution=solution) for a in SIM]
+    assert cli.main(argv + ["--slots", "3000", "--seed", "5", "--outdir",
+                            str(tmp_path), "--buffer-stride", str(stride)]) == 0
+    assert "slots/s)" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "tiny-sim.json").read_text())
+    assert doc["wall_clock_s"] > 0
+    rep = sim.run_simulation(load_scenario(str(scenario)),
+                             Solution.from_json(solution.read_text()),
+                             slots=3000, rng_seed=5)
+    want = "slot,node,buffer_size\r\n" + "".join(
+        f"{slot},{node},{int(rep.buffer_series[slot, j])}\r\n"
+        for j, node in enumerate(rep.buffer_nodes)
+        for slot in range(0, 3000, stride))
+    csv_path = tmp_path / "tiny-sim-buffers.csv"
+    assert csv_path.read_bytes() == want.encode()
 
 
 def test_cli_simulate_rejects_infeasible(tmp_path):

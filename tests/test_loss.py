@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from batsnum import loss
 from batsnum.scenarios import GE_BY_LOSS_RATE
 from batsnum.solvers import LossModelOptions
-from oracles import check_monotone_concave, empirical_loss_model_reference
+from oracles import (ScalarChannel, check_monotone_concave,
+                     empirical_loss_model_reference)
 
 
 def test_independent_lossless():
@@ -52,7 +54,7 @@ def test_ge_step_always_received_in_good_state():
     spec = loss.LossSpec.gilbert_elliott(1.0, 0.0, 0.5, 0.5)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        ch = loss.Channel(spec, rng)
+        ch = ScalarChannel(spec, rng)
         for _ in range(5):
             good = ch.good
             assert ch.transmit() == good
@@ -62,15 +64,15 @@ def test_ge_long_run_loss_rate():
     ch = loss.Channel(loss.LossSpec.gilbert_elliott(1.0, 0.8, 1e-3, 1e-3),
                       np.random.default_rng(5))
     n = 200_000
-    lost = sum(1 for _ in range(n) if not ch.transmit())
+    lost = sum(1 for arrived in itertools.islice(ch, n) if not arrived)
     se = math.sqrt(0.1 * 0.9 / n)
     # state is sticky, so allow a generous multiple of the iid deviation
     assert abs(lost / n - 0.1) < 30 * se
 
 
 def test_ge_symmetric_state_occupancy():
-    ch = loss.Channel(loss.LossSpec.gilbert_elliott(1.0, 0.0, 0.02, 0.02),
-                      np.random.default_rng(9))
+    ch = ScalarChannel(loss.LossSpec.gilbert_elliott(1.0, 0.0, 0.02, 0.02),
+                       np.random.default_rng(9))
     n = 100_000
     good = 0
     for _ in range(n):
@@ -83,8 +85,29 @@ def test_ge_symmetric_state_occupancy():
 
 def test_independent_channel_one_draw_per_packet():
     ch = loss.Channel(loss.LossSpec.independent(0.3), np.random.default_rng(4))
-    got = [ch.transmit() for _ in range(50)]
+    got = list(itertools.islice(ch, 50))
     assert got == list(np.random.default_rng(4).random(50) < 1.0 - 0.3)
+
+
+CHANNEL_SPECS = [
+    loss.LossSpec.independent(0.3),
+    loss.LossSpec.gilbert_elliott(1.0, 0.6, 1e-2, 1e-2),
+    loss.LossSpec.gilbert_elliott(0.95, 0.3, 5e-2, 8e-2),
+    loss.LossSpec.gilbert_elliott(1.0, 0.0, 0.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("spec", CHANNEL_SPECS,
+                         ids=["iid", "ge-s_good-1", "ge", "ge-alternating"])
+def test_block_channel_matches_scalar_draws(spec):
+    # a bursty link's first double is its steady-state draw; then four
+    # block boundaries
+    n = 4 * loss.CHANNEL_BLOCK + 5
+    for seed in range(5):
+        ch = loss.Channel(spec, np.random.default_rng(seed))
+        ref = ScalarChannel(spec, np.random.default_rng(seed))
+        want = [ref.transmit() for _ in range(n)]
+        assert list(itertools.islice(ch, n)) == want
 
 
 def test_empirical_rejects_independent_loss():
@@ -154,7 +177,7 @@ def test_path_sampler_matches_stepped_chain():
     rng = np.random.default_rng(99)
     counts = np.zeros(m + 1)
     for _ in range(n):
-        ch = loss.Channel(spec, rng)
+        ch = ScalarChannel(spec, rng)
         got = sum(1 for _ in range(m) if ch.transmit())
         counts[got] += 1
     stepped = counts / n

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from batsnum import rankcalc, sim, solvers
+from batsnum import ffmat, rankcalc, sim, solvers
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, Schedule
 from batsnum.recoding import RecodingPolicy
 from batsnum.sim import (BatchSource, SimulationInputError, build_tdma_frame,
                          buffer_stability, recode_batch, run_simulation)
-from oracles import empirical_rank_distribution, matrix_rank, propagate
+from oracles import (SteppedBatchSource, empirical_rank_distribution,
+                     matrix_rank, propagate, recode_batch_global)
 
 
 def single_link_scenario(eps=0.2, cap=1.0, M=16):
@@ -36,16 +37,21 @@ def manual_solution(sc, m, alpha, rate=None):
 
 
 def test_batch_source_rate():
-    src = BatchSource(0.877e-2)
-    n = sum(src.step() for _ in range(1_000_000))
+    n = len(BatchSource(0.877e-2).emission_slots(1_000_000))
     assert n == pytest.approx(0.877e-2 * 1_000_000, rel=0.01)
     with pytest.raises(SimulationInputError):
         BatchSource(0.0)
 
 
 def test_batch_source_unit_rate():
-    src = BatchSource(1.0)
-    assert [src.step() for _ in range(5)] == [1] * 5
+    assert BatchSource(1.0).emission_slots(5) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("alpha", [0.877e-2, 1.0, 1.7])
+def test_emission_slots_follow_the_stepped_clock(alpha):
+    ref = SteppedBatchSource(alpha)
+    want = [slot for slot in range(100_000) for _ in range(ref.step())]
+    assert BatchSource(alpha).emission_slots(100_000) == want
 
 
 def test_tdma_frame_single_and_split():
@@ -77,10 +83,46 @@ def test_tdma_frame_weight_overflow():
 
 
 def test_recode_rank_zero_sends_nothing():
-    basis = np.zeros((0, 16), dtype=np.uint8)
     pol = RecodingPolicy.adaptive(_point_mass_rows(16, 5))
-    rows = recode_batch(basis, pol, 0, 256, np.random.default_rng(0))
-    assert rows.shape == (0, 16)
+    rows = recode_batch(0, pol, 256, np.random.default_rng(0))
+    assert rows.shape == (0, 0)
+
+
+def sender_basis(rank, M, rng):
+    """A receiver basis of the given rank, grown from random rows with zero
+    and repeated rows among them."""
+    basis = ffmat.RowBasis()
+    while basis.rank < rank:
+        row = ffmat.random_matrix(1, M, rng)
+        if rng.random() < 0.2:
+            row[:] = 0
+        for coeff in ffmat.int_rows(np.vstack([row, row])):
+            basis.absorb(coeff)
+    return basis
+
+
+@pytest.mark.parametrize("m", [0, 3, 40])
+def test_local_recode_is_innovative_where_global_is(m):
+    # the sender's basis B has full row rank, so c -> cB is injective and a
+    # row cB is innovative exactly when c is: same flags, same ranks
+    M = 16
+    pol = RecodingPolicy.nonadaptive(m)
+    for rank in range(M + 1):
+        for seed in range(4):
+            B = sender_basis(rank, M, np.random.default_rng([rank, seed]))
+            local = recode_batch(rank, pol, 256, np.random.default_rng(seed))
+            rows = recode_batch_global(B.to_array(M), pol, rank, 256,
+                                       np.random.default_rng(seed))
+            assert local.shape == (m, rank) and rows.shape == (m, M)
+            # zero and repeated rows, each side's image of the same rows
+            extra = np.vstack([np.zeros((1, rank), np.uint8), local[:2]])
+            local = np.vstack([extra, local, extra])
+            rows = np.vstack([ffmat.gf_matmul(extra, B.to_array(M)), rows,
+                              ffmat.gf_matmul(extra, B.to_array(M))])
+            got, want = ffmat.RowBasis(), ffmat.RowBasis()
+            assert ([got.absorb(c) for c in ffmat.int_rows(local)]
+                    == [want.absorb(c) for c in ffmat.int_rows(rows)])
+            assert got.rank == want.rank <= rank
 
 
 def _point_mass_rows(M, m):
@@ -99,10 +141,9 @@ def test_uniform_recode_downstream_rank_matches_transition_row():
     pol = RecodingPolicy.nonadaptive(m)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), 256, M)
     rng = np.random.default_rng(2)
-    ident = np.eye(M, dtype=np.uint8)
     counts = np.zeros(M + 1)
     for _ in range(n):
-        rows = recode_batch(ident, pol, M, 256, rng)
+        rows = recode_batch(M, pol, 256, rng)
         kept = rows[rng.random(m) < 1 - eps]
         counts[matrix_rank(kept)] += 1
     emp = counts / n
