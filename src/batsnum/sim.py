@@ -270,12 +270,11 @@ def run_simulation(scenario, solution, slots=1_000_000, rng_seed=7,
         buffers[slot] = queued
 
     # every emitted batch was delivered or vanished, or is queued or open
-    in_flight = [{st.batch for st in states if st.batch >= 0} for states in rx]
-    for qq in queues:
-        for st, bid, *_ in qq:
-            in_flight[st.flow].add(bid)
     for i, f in enumerate(flows):
-        assert emitted[i] == completed[i] + sum(died[i]) + len(in_flight[i]), \
+        in_flight = {pkt[1] for qq in queues for pkt in qq
+                     if pkt[0].flow == i}
+        in_flight |= {st.batch for st in rx[i] if st.batch >= 0}
+        assert emitted[i] == completed[i] + sum(died[i]) + len(in_flight), \
             f"flow {f.id} lost track of a batch"
 
     ids, lids = [f.id for f in flows], [l.id for l in links]
