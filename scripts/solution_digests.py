@@ -5,9 +5,9 @@ Per instance (case and loss family) the document holds the SHA-1 of the
 NAP and two-step `Solution.to_json()` (the digests frozen in
 `tests/test_solver_regression.py`), the utilities by `repr`, the NAP
 counts per flow and hop, the NAP schedule count, the candidate-pool size,
-the column-generation rounds, columns per flow and bound, the NAP wall
-time (loss models and search tables built beforehand), the allocation
-certificate and the scheduled link rates. Under `estimation` it holds, per
+the column-generation rounds, columns per flow and bound, the NAP and
+two-step wall times (loss models and search tables built beforehand),
+the allocation certificate and the scheduled link rates. Under `estimation` it holds, per
 distinct bursty channel (keyed `s_good/s_bad/p_gb/p_bg`), the SHA-1 of the
 estimated q-table and the seconds its estimation took; under `sweep_s`, the
 wall time of the whole sweep, estimation included.
@@ -15,11 +15,12 @@ wall time of the whole sweep, estimation included.
     python scripts/solution_digests.py --out new.json
     python scripts/solution_digests.py --out new.json --compare old.json
 
-With `--compare` it prints, per instance, the signed change of U(nap) and
-U(two-step), |dU~|, whether the NAP counts are unchanged, the pool sizes,
-the schedule counts, the largest move of a link rate, the rounds and the
-NAP wall times, then per channel whether the q-table is unchanged and the
-estimation seconds, and the sweep's wall time.
+With `--compare` it prints, per instance, whether the NAP and two-step
+SHA-1s are unchanged, the signed change of U(nap) and U(two-step), |dU~|,
+whether the NAP counts are unchanged, the pool sizes, the schedule
+counts, the largest move of a link rate, the rounds and the NAP and
+two-step wall times, then per channel whether the q-table is unchanged
+and the estimation seconds, and the sweep's wall time.
 """
 
 import argparse
@@ -61,7 +62,9 @@ def record(case, family):
     start = time.perf_counter()
     nap = solvers.solve_nap(sc)
     nap_s = time.perf_counter() - start
+    start = time.perf_counter()
     two = solvers.two_step_solve(sc, nap_solution=nap)
+    two_step_s = time.perf_counter() - start
     return {
         "nap_sha1": digest(nap),
         "two_step_sha1": digest(two),
@@ -76,6 +79,7 @@ def record(case, family):
         "columns": nap.status.get("columns"),
         "bound": repr(nap.status.get("bound")),
         "nap_s": round(nap_s, 3),
+        "two_step_s": round(two_step_s, 3),
         "allocation": nap.status["allocation"],
         "rate_vector": [repr(float(r)) for r in nap.rate_vector],
     }
@@ -90,13 +94,17 @@ def delta_total(old, new):
 
 
 def compare(old, new):
-    print("| instance | dU(nap) | dU(two-step) | \\|dU~\\| | same NAP counts "
-          "| pool | schedules | max \\|d rate\\| | rounds | NAP s |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+    print("| instance | same SHA-1s | dU(nap) | dU(two-step) | \\|dU~\\| "
+          "| same NAP counts "
+          "| pool | schedules | max \\|d rate\\| | rounds | NAP s "
+          "| two-step s |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     for case, family in INSTANCES:
         key = f"{family} {case}"
         o, n = old[key], new[key]
-        print(f"| {key} "
+        same = ["yes" if o[f] == n[f] else "NO"
+                for f in ("nap_sha1", "two_step_sha1")]
+        print(f"| {key} | {'/'.join(same)} "
               f"| {delta_total(o['nap_utilities'], n['nap_utilities']):+.2g} "
               f"| {delta_total(o['two_step_utilities'], n['two_step_utilities']):+.2g} "
               f"| {abs(float(o['u_tilde']) - float(n['u_tilde'])):.2g} "
@@ -105,7 +113,8 @@ def compare(old, new):
               f"| {o['schedules']} -> {n['schedules']} "
               f"| {max_delta(o['rate_vector'], n['rate_vector']):.2g} "
               f"| {n['rounds']} "
-              f"| {o.get('nap_s', '-')} -> {n['nap_s']} |")
+              f"| {o.get('nap_s', '-')} -> {n['nap_s']} "
+              f"| {o.get('two_step_s', '-')} -> {n['two_step_s']} |")
     print("\n| channel | same q-table | estimation s |\n|---|---|---|")
     for key, n in new["estimation"].items():
         o = old.get("estimation", {}).get(key, {})

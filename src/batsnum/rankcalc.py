@@ -87,6 +87,8 @@ def transition_matrix(policy, model, q, M):
     Row-stochastic and lower-triangular: recoding cannot raise rank.
     """
     W = hop_tables(model, q, M)
+    if policy.kind == "nonadaptive" and policy.m <= model.m_max:
+        return W[policy.m].copy()  # the loop's 0.0 + 1.0 * W[m, r], exactly
     P = np.zeros((M + 1, M + 1))
     for r in range(M + 1):
         for m, p in policy.support(r):
@@ -102,7 +104,8 @@ def almost_deterministic_transition(t, model, q, M):
     """Transition matrix of the almost-deterministic policy with targets t.
 
     Row r mixes the send-floor(t[r]) and send-ceil(t[r]) slices of the
-    hop tables; row 0 sends nothing. Equal, bit for bit, to
+    hop tables; row 0 sends nothing. A stack of targets (..., M+1) gives
+    a stack of matrices. Equal, bit for bit, to
     `transition_matrix(expand_almost_deterministic(t, m0), ...)` for
     targets within the model's support.
     """
@@ -110,7 +113,7 @@ def almost_deterministic_transition(t, model, q, M):
     t = np.asarray(t, dtype=float)
     lo = np.floor(t).astype(int)
     frac = t - lo
-    lo[0], frac[0] = 0, 0.0
+    lo[..., 0], frac[..., 0] = 0, 0.0
     r = np.arange(M + 1)
     hi = np.minimum(lo + 1, model.m_max)
-    return (1.0 - frac)[:, None] * W[lo, r] + frac[:, None] * W[hi, r]
+    return (1.0 - frac)[..., None] * W[lo, r] + frac[..., None] * W[hi, r]

@@ -11,6 +11,7 @@ import numpy as np
 from . import rankcalc
 
 BUDGET_TOL = 1e-12
+PAY_CHUNK = 128  # grants in the first payment step; most rows stop in it
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,12 @@ def expand_almost_deterministic(t, m0):
 
 def average_packets(policy, h):
     """Expected transmitted packets per batch under rank distribution h."""
-    h = np.asarray(h, dtype=float)
     total = 0.0
-    for r in range(len(h)):
-        if h[r] == 0:
-            continue
-        total += h[r] * sum(m * p for m, p in policy.support(r))
+    # rank by rank: a vectorized sum can move the result in the last bit
+    for r, x in enumerate(np.asarray(h, dtype=float).tolist()):
+        if x:
+            total += x * (policy.m if policy.kind == "nonadaptive" else
+                          sum(m * p for m, p in policy.support(r)))
     return total
 
 
@@ -182,30 +183,62 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     monotone-concave curves, which every model the package builds has,
     this is the exact optimum and the result is almost deterministic.
 
-    The grant order is cached (`_greedy_order`); a call pays the units of
-    that order from left to right until the budget falls to BUDGET_TOL or
-    the next unit no longer fits.
+    `h_in` may be a stack (E, M+1) with a budget per row; the fields are
+    then stacked and `policy` is undefined. Rows that fund the same ranks
+    pay their cached grant order (`_greedy_order`) together.
     """
     h = np.asarray(h_in, dtype=float)
-    if budget < 0:
+    H = np.atleast_2d(h)
+    budgets = np.broadcast_to(np.asarray(budget, dtype=float), H.shape[:1])
+    if np.any(budgets < 0):
         raise ValueError("budget must be nonnegative")
     cap = min(m0, model.m_max)
-    fundable = h > 0
-    fundable[0] = False
-    order = _greedy_order(model, q, M, cap, fundable)
-    costs = h[order]
-    # rem[k]: budget left before the k-th grant, subtracted in grant order
-    rem = np.subtract.accumulate(np.concatenate(([float(budget)], costs)))
-    stops = np.flatnonzero((rem[:-1] <= BUDGET_TOL) | (costs > rem[:-1]))
-    k = int(stops[0]) if stops.size else len(order)
-    t = np.bincount(order[:k], minlength=M + 1).astype(float)
-    remaining = rem[k]
-    if remaining > BUDGET_TOL and k < len(order):
-        t[order[k]] += remaining / costs[k]
-        remaining = 0.0
-    h_out = h @ rankcalc.almost_deterministic_transition(t, model, q, M)
-    return HopResult(expected_rank=float(h_out @ np.arange(M + 1)),
-                     targets=t,
-                     m0=m0,
-                     budget_used=float(budget - remaining),
-                     h_out=h_out)
+    fundable = H > 0
+    fundable[:, 0] = False
+    groups = {}
+    for i, row in enumerate(fundable):
+        groups.setdefault(row.tobytes(), []).append(i)
+    t, remaining = np.zeros(H.shape), budgets.copy()
+    for rows in groups.values():
+        order = _greedy_order(model, q, M, cap, fundable[rows[0]])
+        t[rows], remaining[rows] = _pay(order, H[rows], budgets[rows], M)
+    P = rankcalc.almost_deterministic_transition(t, model, q, M)
+    # per-row gemv and dot: the bits of `h @ P` and `h_out @ arange` per row
+    h_out = np.matmul(H[:, None, :], P)[:, 0]
+    rank = np.matmul(h_out[:, None, :], np.arange(M + 1.0)[:, None])[:, 0, 0]
+    used = budgets - remaining
+    if h.ndim == 1:
+        return HopResult(float(rank[0]), t[0], m0, float(used[0]), h_out[0])
+    return HopResult(rank, t, m0, used, h_out)
+
+
+def _pay(order, h, budgets, M):
+    """Targets and unspent budget of rows h paying `order` from the left.
+
+    A row stops before the first grant that its remainder no longer funds
+    (at most BUDGET_TOL, or below the cost) and buys a fraction of it.
+    Each chunk of grants (PAY_CHUNK, then doubling) is one accumulate down
+    a (chunk+1, rows) array: per row, the subtractions of one 1-D pass.
+    """
+    n, k, rem = len(order), np.full(len(h), len(order)), budgets.copy()
+    live, c0, w = np.arange(len(h)), 0, PAY_CHUNK
+    while c0 < n and live.size:
+        costs = h[live][:, order[c0:c0 + w]].T
+        acc = np.subtract.accumulate(np.vstack([rem[live], costs]), axis=0)
+        stop = (acc[:-1] <= BUDGET_TOL) | (costs > acc[:-1])
+        hit, j = stop.any(axis=0), stop.argmax(axis=0)
+        k[live[hit]] = c0 + j[hit]
+        rem[live] = acc[np.where(hit, j, -1), np.arange(live.size)]
+        live, c0, w = live[~hit], c0 + w, 2 * w
+    # paid counts: grants between consecutive sorted stops, summed up
+    by_k = np.argsort(k, kind="stable")
+    seg = np.searchsorted(k[by_k], np.arange(k.max()), side="right")
+    counts = np.bincount(seg * (M + 1) + order[:k.max()],
+                         minlength=len(k) * (M + 1)).reshape(len(k), M + 1)
+    t = np.empty((len(k), M + 1))
+    t[by_k] = counts.cumsum(axis=0)
+    part = np.flatnonzero((rem > BUDGET_TOL) & (k < n))
+    r = order[k[part]]
+    t[part, r] += rem[part] / h[part, r]
+    rem[part] = 0.0
+    return t, rem

@@ -707,13 +707,14 @@ ETA_TOL = 1e-4
 
 
 def _flow_two_step(scenario, flow, m_vec, alpha):
-    """Scan the batch-rate scale eta; per-hop budget m_e/eta greedily realloc'd."""
+    """Scan the batch-rate scale eta (the grid as one stack) with per-hop
+    budgets m_e/eta greedily realloc'd; (eta, rank, per-hop HopResults)."""
     models = [scenario.loss_model(e) for e in flow.links]
     caps = scenario.flow_caps(flow)
     source = rankcalc.source_distribution(scenario.M)
 
-    def realloc(eta):
-        h, hops = source, []
+    def realloc(eta):  # eta: one scale, or an array of them
+        h, hops = np.broadcast_to(source, np.shape(eta) + source.shape), []
         for (model, me, cap) in zip(models, m_vec, caps):
             hops.append(recoding.optimize_hop(h, model, me / eta, scenario.q,
                                               scenario.M, int(cap)))
@@ -721,12 +722,9 @@ def _flow_two_step(scenario, flow, m_vec, alpha):
         return hops[-1].expected_rank, hops
 
     grid = np.arange(ETA_START, ETA_STOP + ETA_STEP / 2, ETA_STEP)
-    best_eta, best_val = 1.0, -np.inf
-    for eta in grid:
-        rank, _ = realloc(eta)
-        val = eta * alpha * rank
-        if val > best_val:
-            best_eta, best_val = float(eta), val
+    vals = grid * alpha * realloc(grid)[0]
+    best = int(np.argmax(vals))  # the first strict maximum along the grid
+    best_eta, best_val = float(grid[best]), vals[best]
     lo = max(ETA_START, best_eta - ETA_STEP)
     hi = min(ETA_STOP, best_eta + ETA_STEP)
     phi = (math.sqrt(5) - 1) / 2
@@ -747,8 +745,7 @@ def _flow_two_step(scenario, flow, m_vec, alpha):
     if eta_mid * alpha * rank_mid < best_val:
         eta_mid = best_eta
         rank_mid, hops = realloc(best_eta)
-    return (eta_mid, rank_mid, [hop.policy for hop in hops],
-            [hop.budget_used for hop in hops])
+    return eta_mid, rank_mid, hops
 
 
 def two_step_solve(scenario, nap_solution=None):
@@ -762,14 +759,14 @@ def two_step_solve(scenario, nap_solution=None):
     etas, alphas, ranks, utils, policies, mbars = [], [], [], [], [], []
     for i, flow in enumerate(scenario.flows):
         m_vec = [int(round(mb)) for mb in base.mbar[i]]
-        eta, rank, pols, mbar = _flow_two_step(scenario, flow, m_vec,
-                                               float(base.alpha[i]))
+        eta, rank, hops = _flow_two_step(scenario, flow, m_vec,
+                                         float(base.alpha[i]))
         etas.append(eta)
         alphas.append(eta * float(base.alpha[i]))
         ranks.append(rank)
         utils.append(math.log(max(alphas[-1] * rank, 1e-300)))
-        policies.append(pols)
-        mbars.append(mbar)
+        policies.append([hop.policy for hop in hops])
+        mbars.append([hop.budget_used for hop in hops])
     u_total = float(np.sum(utils))
     return replace(
         base, mode="two-step", alpha=np.array(alphas), eta=np.array(etas),

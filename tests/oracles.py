@@ -15,7 +15,12 @@ shares the package's path sampler and recounts the windows the slow way.
 The simulator's former paths are kept as oracles of its current ones:
 `recode_batch_global` (recoded rows multiplied out over the sender's
 basis), `ScalarChannel` (one scalar draw per call) and
-`SteppedBatchSource` (one accumulator step per slot).
+`SteppedBatchSource` (one accumulator step per slot). The two-step's
+former scalar paths are kept the same way: `optimize_hop_scalar` (one
+rank distribution, the whole grant order paid by one accumulate),
+`flow_two_step_grid_loop` (one `optimize_hop_scalar` chain per grid
+scale) and `average_packets_by_rank` (a policy's support summed rank by
+rank). `gf256_rank_stacked` ranks a stack of GF(256) matrices at once.
 """
 
 import itertools
@@ -25,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from batsnum import ffmat, loss, rankcalc
+from batsnum import ffmat, loss, rankcalc, solvers
 from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.netmodel import (ValidationError, max_weight_index,
                               schedule_rate_matrix)
-from batsnum.recoding import BUDGET_TOL, HopResult, expand_almost_deterministic
+from batsnum.recoding import (BUDGET_TOL, HopResult, _greedy_order,
+                              expand_almost_deterministic)
 from batsnum.solvers import ConcaveAllocation
 
 
@@ -262,6 +268,118 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
                      m0=m0,
                      budget_used=float(budget - remaining),
                      h_out=h_out)
+
+
+def optimize_hop_scalar(h_in, model, budget, q, M, m0):
+    """`recoding.optimize_hop` for one rank distribution, as it was before
+    it took stacks: the cached grant order's costs accumulated in one 1-D
+    `subtract.accumulate`, the paid counts by `bincount`."""
+    h = np.asarray(h_in, dtype=float)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    cap = min(m0, model.m_max)
+    fundable = h > 0
+    fundable[0] = False
+    order = _greedy_order(model, q, M, cap, fundable)
+    costs = h[order]
+    # rem[k]: budget left before the k-th grant, subtracted in grant order
+    rem = np.subtract.accumulate(np.concatenate(([float(budget)], costs)))
+    stops = np.flatnonzero((rem[:-1] <= BUDGET_TOL) | (costs > rem[:-1]))
+    k = int(stops[0]) if stops.size else len(order)
+    t = np.bincount(order[:k], minlength=M + 1).astype(float)
+    remaining = rem[k]
+    if remaining > BUDGET_TOL and k < len(order):
+        t[order[k]] += remaining / costs[k]
+        remaining = 0.0
+    h_out = h @ rankcalc.almost_deterministic_transition(t, model, q, M)
+    return HopResult(expected_rank=float(h_out @ np.arange(M + 1)),
+                     targets=t,
+                     m0=m0,
+                     budget_used=float(budget - remaining),
+                     h_out=h_out)
+
+
+def flow_two_step_grid_loop(scenario, flow, m_vec, alpha):
+    """`solvers._flow_two_step` with one scalar hop chain per grid scale:
+    the grid point kept is the first strict maximum of eta * alpha * rank,
+    then the same golden section. Returns (eta, rank, hops)."""
+    models = [scenario.loss_model(e) for e in flow.links]
+    caps = scenario.flow_caps(flow)
+
+    def realloc(eta):
+        h, hops = rankcalc.source_distribution(scenario.M), []
+        for (model, me, cap) in zip(models, m_vec, caps):
+            hops.append(optimize_hop_scalar(h, model, me / eta, scenario.q,
+                                            scenario.M, int(cap)))
+            h = hops[-1].h_out
+        return hops[-1].expected_rank, hops
+
+    step = solvers.ETA_STEP
+    grid = np.arange(solvers.ETA_START, solvers.ETA_STOP + step / 2, step)
+    best_eta, best_val = 1.0, -np.inf
+    for eta in grid:
+        rank, _ = realloc(eta)
+        val = eta * alpha * rank
+        if val > best_val:
+            best_eta, best_val = float(eta), val
+    lo = max(solvers.ETA_START, best_eta - step)
+    hi = min(solvers.ETA_STOP, best_eta + step)
+    phi = (math.sqrt(5) - 1) / 2
+    x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    f = lambda e: e * alpha * realloc(e)[0]
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > solvers.ETA_TOL:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + phi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - phi * (hi - lo)
+            f1 = f(x1)
+    eta_mid = (lo + hi) / 2
+    rank_mid, hops = realloc(eta_mid)
+    if eta_mid * alpha * rank_mid < best_val:
+        eta_mid = best_eta
+        rank_mid, hops = realloc(best_eta)
+    return eta_mid, rank_mid, hops
+
+
+def average_packets_by_rank(policy, h):
+    """Expected transmitted packets: each rank's support summed, rank by
+    rank, for every policy kind."""
+    h = np.asarray(h, dtype=float)
+    total = 0.0
+    for r in range(len(h)):
+        if h[r] == 0:
+            continue
+        total += h[r] * sum(m * p for m, p in policy.support(r))
+    return total
+
+
+def gf256_rank_stacked(A):
+    """Ranks over GF(256) of a stack (n, rows, cols) of matrices: one
+    forward elimination run on every matrix at once, column by column."""
+    A = np.array(A, dtype=np.uint8)
+    n, R, C = A.shape
+    rank = np.zeros(n, dtype=np.intp)
+    rows, every = np.arange(R), np.arange(n)
+    for c in range(C):
+        cand = (A[:, :, c] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        idx = np.flatnonzero(has)
+        p, r = cand[idx].argmax(axis=1), rank[idx]
+        A[idx, r], A[idx, p] = A[idx, p], A[idx, r]
+        A[idx, r] = _MUL256[_INV256[A[idx, r, c]][:, None], A[idx, r]]
+        # clear column c below each pivot; matrices without one stay put,
+        # and columns left of c are zero there already
+        below = slice(rank.min() + 1, R)
+        f = np.where((rows[below] > rank[:, None]) & has[:, None],
+                     A[:, below, c], 0)
+        pivot = A[every, np.minimum(rank, R - 1), c:]
+        A[:, below, c:] ^= _MUL256[f[:, :, None], pivot[:, None, :]]
+        rank += has
+    return rank
 
 
 def empirical_loss_model_reference(spec, m_max, samples, rng_seed):

@@ -112,6 +112,33 @@ def test_almost_deterministic_transition_matches_expanded_policy():
                     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("family", ["iid", "ge"])
+def test_nonadaptive_transition_is_the_mixing_path(family):
+    model = (loss.independent_loss_model(0.2, 24) if family == "iid" else
+             loss.empirical_loss_model(
+                 loss.LossSpec.gilbert_elliott(0.9, 0.3, 0.1, 0.3),
+                 m_max=24, samples=2000, rng_seed=5))
+    M = 16
+    W = rankcalc.hop_tables(model, 256, M)
+    before = W.copy()
+    for m in range(model.m_max + 1):
+        # the same count as a one-hot adaptive policy, mixed rank by rank
+        p = np.zeros((M + 1, model.m_max + 1))
+        p[0, 0] = 1.0
+        p[1:, m] = 1.0
+        mixed = rankcalc.transition_matrix(RecodingPolicy.adaptive(p), model,
+                                           256, M)
+        got = rankcalc.transition_matrix(RecodingPolicy.nonadaptive(m), model,
+                                         256, M)
+        assert np.array_equal(got[1:], mixed[1:])
+        assert np.array_equal(got[0], W[m, 0])
+        got[:] = -1.0
+    assert np.array_equal(W, before)
+    with pytest.raises(ValueError):
+        rankcalc.transition_matrix(RecodingPolicy.nonadaptive(model.m_max + 1),
+                                   model, 256, M)
+
+
 def test_policy_support_exceeding_model_raises():
     model = loss.independent_loss_model(0.2, 10)
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from batsnum import loss, recoding
 from batsnum.recoding import (RecodingPolicy, average_packets,
                               expand_almost_deterministic, optimize_hop)
-from oracles import almost_deterministic_exhaustive, optimize_hop_budget_loop
+from oracles import (almost_deterministic_exhaustive, average_packets_by_rank,
+                     optimize_hop_budget_loop, optimize_hop_scalar)
 from batsnum import rankcalc
 
 
@@ -188,6 +189,74 @@ def test_optimize_hop_bit_equal_to_budget_loop():
                     assert np.array_equal(got.h_out, want.h_out)
                     checked += 1
     assert checked >= 1000
+
+
+def _stack_budgets(h, model, M, m0, rng):
+    """One budget per row, cycling through zero, below BUDGET_TOL, inside
+    the grant order, on a unit boundary and past the whole order."""
+    budgets = []
+    for i, row in enumerate(h):
+        fundable = row > 0
+        fundable[0] = False
+        order = recoding._greedy_order(model, 256, M, min(m0, model.m_max),
+                                       fundable)
+        prefix = np.cumsum(row[order])
+        full = float(prefix[-1]) if len(order) else 0.0
+        edge = float(prefix[rng.integers(len(order))]) if len(order) else 1.0
+        budgets.append((0.0, 1e-13, float(rng.uniform(0, full)), edge,
+                        full * 1.5 + 1.0)[i % 5])
+    return np.array(budgets)
+
+
+def test_stacked_optimize_hop_bit_equal_to_scalar():
+    ge = loss.LossSpec.gilbert_elliott(0.9, 0.3, 0.1, 0.3)
+    models = [loss.independent_loss_model(0.2, 24),
+              loss.empirical_loss_model(ge, m_max=24, samples=2000,
+                                        rng_seed=5),
+              _nonconcave_model()]
+    rng = np.random.default_rng(23)
+    for model in models:
+        for M in (4, 16):
+            # m0 below, at and above the model's m_max
+            for m0 in (0, 3, model.m_max, model.m_max + 7):
+                h = [_random_h(rng, M) for _ in range(15)]
+                # dyadic costs land exactly on a unit boundary; rank 0 alone
+                # funds nothing
+                dyadic = np.zeros(M + 1)
+                dyadic[[1, M // 2, M]] = 0.25, 0.25, 0.5
+                h = np.array(h + [dyadic, unit_h(M, 0)])
+                budgets = _stack_budgets(h, model, M, m0, rng)
+                budgets[-2] = 1.0
+                assert len({tuple(row > 0) for row in h}) > 2
+                got = optimize_hop(h, model, budgets, 256, M, m0)
+                for i, row in enumerate(h):
+                    want = optimize_hop_scalar(row, model, budgets[i], 256,
+                                               M, m0)
+                    assert np.array_equal(got.targets[i], want.targets)
+                    assert got.budget_used[i] == want.budget_used
+                    assert got.expected_rank[i] == want.expected_rank
+                    assert np.array_equal(got.h_out[i], want.h_out)
+                # a stack of one, and a single distribution
+                one = optimize_hop(h[:1], model, budgets[:1], 256, M, m0)
+                assert one.expected_rank.shape == (1,)
+                assert one.expected_rank[0] == got.expected_rank[0]
+                flat = optimize_hop(h[0], model, budgets[0], 256, M, m0)
+                assert type(flat.expected_rank) is float
+                assert type(flat.budget_used) is float
+                assert np.array_equal(flat.targets, got.targets[0])
+                assert np.array_equal(flat.h_out, got.h_out[0])
+
+
+def test_average_packets_bit_equal_to_rank_loop():
+    rng = np.random.default_rng(31)
+    for M in (4, 16, 40):
+        for _ in range(40):
+            h = _random_h(rng, M)
+            t = rng.uniform(0, 30, M + 1)
+            policies = [RecodingPolicy.nonadaptive(m) for m in (0, 1, 7, 19, 160)]
+            policies.append(expand_almost_deterministic(t, 30))
+            for pol in policies:
+                assert average_packets(pol, h) == average_packets_by_rank(pol, h)
 
 
 def test_greedy_order_cached_read_only():

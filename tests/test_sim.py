@@ -10,7 +10,8 @@ from batsnum.recoding import RecodingPolicy
 from batsnum.sim import (BatchSource, SimulationInputError, build_tdma_frame,
                          buffer_stability, recode_batch, run_simulation)
 from oracles import (SteppedBatchSource, empirical_rank_distribution,
-                     matrix_rank, propagate, recode_batch_global)
+                     gf256_rank_stacked, matrix_rank, propagate,
+                     recode_batch_global)
 
 
 def single_link_scenario(eps=0.2, cap=1.0, M=16):
@@ -141,12 +142,14 @@ def test_uniform_recode_downstream_rank_matches_transition_row():
     pol = RecodingPolicy.nonadaptive(m)
     P = rankcalc.transition_matrix(pol, sc.loss_model("e1"), 256, M)
     rng = np.random.default_rng(2)
-    counts = np.zeros(M + 1)
-    for _ in range(n):
+    kept = np.zeros((n, m, M), dtype=np.uint8)  # zero rows keep the rank
+    for i in range(n):
         rows = recode_batch(M, pol, 256, rng)
-        kept = rows[rng.random(m) < 1 - eps]
-        counts[matrix_rank(kept)] += 1
-    emp = counts / n
+        rows = rows[rng.random(m) < 1 - eps]
+        kept[i, :len(rows)] = rows
+    ranks = gf256_rank_stacked(kept)
+    assert ranks[:2000].tolist() == [matrix_rank(a) for a in kept[:2000]]
+    emp = np.bincount(ranks, minlength=M + 1) / n
     for j in range(M + 1):
         se = math.sqrt(max(P[M, j] * (1 - P[M, j]), 1e-9) / n)
         assert abs(emp[j] - P[M, j]) <= 3 * se + 5e-4

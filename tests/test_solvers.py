@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import local_search_reference, propagate
+from oracles import flow_two_step_grid_loop, local_search_reference, propagate
 
 import batsnum
-from batsnum import rankcalc
+from batsnum import rankcalc, solvers
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
@@ -259,6 +259,24 @@ def test_two_step_never_worse(solved):
     two = solved.two_step(1)
     assert two.u_total >= nap.u_total - 1e-9
     assert np.all(two.eta >= 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("case,family", [(1, "iid"), (10, "iid"), (4, "ge")])
+def test_flow_two_step_equals_grid_loop(solved, case, family):
+    # the stacked grid scan against one scalar hop chain per grid scale;
+    # iid 10 has 8 hops
+    sc, nap = solved.scenario(case, family), solved.nap(case, family)
+    for i, flow in enumerate(sc.flows):
+        m_vec = [int(round(mb)) for mb in nap.mbar[i]]
+        alpha = float(nap.alpha[i])
+        eta, rank, hops = solvers._flow_two_step(sc, flow, m_vec, alpha)
+        want_eta, want_rank, want_hops = flow_two_step_grid_loop(
+            sc, flow, m_vec, alpha)
+        assert (eta, rank) == (want_eta, want_rank)
+        assert len(hops) == len(want_hops) == len(flow.links)
+        for got, want in zip(hops, want_hops):
+            assert np.array_equal(got.targets, want.targets)
+            assert got.budget_used == want.budget_used
 
 
 def test_every_solver_result_is_one_solution(solved):
