@@ -7,6 +7,7 @@ for a recoding policy under a batch-wise loss model.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,16 +20,10 @@ def source_distribution(M):
     return h
 
 
-_rank_pmf_cache: dict = {}
-
-
+@functools.cache
 def rank_pmf_table(M, k_max, q):
     """Z[i, k, j] = P(an i x k uniform matrix over GF(q) has rank j) for
     i, j <= M and k <= k_max."""
-    key = (M, k_max, q)
-    got = _rank_pmf_cache.get(key)
-    if got is not None:
-        return got
     lq = math.log(q)
     xmax = max(M, k_max)
     # cum[x, j] = sum_{t<j} log(1 - q^(t-x)), j <= x
@@ -46,7 +41,6 @@ def rank_pmf_table(M, k_max, q):
                   + cum[k, np.minimum(j, k)] - cum[j, j])
             Z[i, k, :jm + 1] = np.exp(lz)
     Z.flags.writeable = False  # shared by every caller in the process
-    _rank_pmf_cache[key] = Z
     return Z
 
 

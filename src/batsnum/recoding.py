@@ -141,25 +141,25 @@ class HopResult:
         return expand_almost_deterministic(self.targets, self.m0)
 
 
-def _greedy_order(model, q, M, cap, fundable):
+def _greedy_order(model, q, M, cap):
     """Ranks in the order the greedy grants them, with an unlimited budget.
 
     The greedy picks the largest marginal gain E1[r, t+1] - E1[r, t]
-    (ties to the lower rank) among the fundable ranks still below the
-    cap; neither h's values nor the budget enter the choice, so a budget
-    only decides how long a prefix of this order is paid for. Cached on
-    the loss model; the order is read-only.
+    (ties to the lower rank) among the ranks still below the cap. A
+    rank's marginal moves only when it is granted, so this order
+    restricted to any set of ranks is the greedy's order over that set:
+    neither h nor the budget enters it, and a budget only decides how
+    long a prefix is paid for. Cached on the loss model; read-only.
     """
-    key = ("greedy_order", q, M, cap, fundable.tobytes())
+    key = ("greedy_order", q, M, cap)
     got = model._cache.get(key)
     if got is not None:
         return got
     E1 = rankcalc.expected_rank_table(model, q, M)
     ti = np.zeros(M + 1, dtype=int)
     marg = np.full(M + 1, -np.inf)
-    for r in range(1, M + 1):
-        if fundable[r] and cap >= 1:
-            marg[r] = E1[r, 1] - E1[r, 0]
+    if cap >= 1:
+        marg[1:] = E1[1:M + 1, 1] - E1[1:M + 1, 0]
     order = []
     # zero marginals stay grantable so a monotone model exhausts the budget
     while np.any(marg >= -1e-12):
@@ -184,24 +184,20 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     this is the exact optimum and the result is almost deterministic.
 
     `h_in` may be a stack (E, M+1) with a budget per row; the fields are
-    then stacked and `policy` is undefined. Rows that fund the same ranks
-    pay their cached grant order (`_greedy_order`) together.
+    then stacked and `policy` is undefined. Every row pays the model's one
+    cached grant order (`_greedy_order`); a rank with h(r) = 0 costs
+    nothing there, so it leaves the remainders as they are, and its
+    target is set back to 0.
     """
     h = np.asarray(h_in, dtype=float)
     H = np.atleast_2d(h)
     budgets = np.broadcast_to(np.asarray(budget, dtype=float), H.shape[:1])
     if np.any(budgets < 0):
         raise ValueError("budget must be nonnegative")
-    cap = min(m0, model.m_max)
-    fundable = H > 0
-    fundable[:, 0] = False
-    groups = {}
-    for i, row in enumerate(fundable):
-        groups.setdefault(row.tobytes(), []).append(i)
-    t, remaining = np.zeros(H.shape), budgets.copy()
-    for rows in groups.values():
-        order = _greedy_order(model, q, M, cap, fundable[rows[0]])
-        t[rows], remaining[rows] = _pay(order, H[rows], budgets[rows], M)
+    order = _greedy_order(model, q, M, min(m0, model.m_max))
+    funded = H > 0
+    t, remaining = _pay(order, np.where(funded, H, 0.0), budgets, M)
+    t[~funded] = 0.0
     P = rankcalc.almost_deterministic_transition(t, model, q, M)
     # per-row gemv and dot: the bits of `h @ P` and `h_out @ arange` per row
     h_out = np.matmul(H[:, None, :], P)[:, 0]

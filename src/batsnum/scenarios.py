@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 from .loss import LossSpec, ParameterError
@@ -85,11 +86,17 @@ def preset_config(name, loss_family="iid"):
 
 
 def _number(value, path, kind=float, least=None):
-    """`value` as `kind`, at least `least`; a ValidationError names `path`."""
+    """`value` as a finite `kind`, at least `least`; a ValidationError names
+    `path`. Booleans, and fractions where `kind` is int, are refused."""
     try:
         got = kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: expected a number, got {value!r}") from None
+        ok = (not isinstance(value, bool) and math.isfinite(got)
+              and not (isinstance(value, float) and got != value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        want = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"{path}: expected {want}, got {value!r}")
     if least is not None and got < least:
         raise ValidationError(f"{path}: {got} is below {least}")
     return got

@@ -16,8 +16,9 @@ The simulator's former paths are kept as oracles of its current ones:
 `recode_batch_global` (recoded rows multiplied out over the sender's
 basis), `ScalarChannel` (one scalar draw per call) and
 `SteppedBatchSource` (one accumulator step per slot). The two-step's
-former scalar paths are kept the same way: `optimize_hop_scalar` (one
-rank distribution, the whole grant order paid by one accumulate),
+former scalar paths are kept the same way: `greedy_order_masked` (the
+grant order over the fundable ranks only), `optimize_hop_scalar` (one
+rank distribution, that whole grant order paid by one accumulate),
 `flow_two_step_grid_loop` (one `optimize_hop_scalar` chain per grid
 scale) and `average_packets_by_rank` (a policy's support summed rank by
 rank). `gf256_rank_stacked` ranks a stack of GF(256) matrices at once.
@@ -34,7 +35,7 @@ from batsnum import ffmat, loss, rankcalc, solvers
 from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.netmodel import (ValidationError, max_weight_index,
                               schedule_rate_matrix)
-from batsnum.recoding import (BUDGET_TOL, HopResult, _greedy_order,
+from batsnum.recoding import (BUDGET_TOL, HopResult,
                               expand_almost_deterministic)
 from batsnum.solvers import ConcaveAllocation
 
@@ -270,17 +271,41 @@ def optimize_hop_budget_loop(h_in, model, budget, q, M, m0):
                      h_out=h_out)
 
 
+def greedy_order_masked(model, q, M, cap, fundable):
+    """`recoding._greedy_order` as it was keyed by the fundable ranks: the
+    greedy's grant order over the ranks r with fundable[r] only, cached on
+    the loss model under its own key."""
+    key = ("greedy_order_masked", q, M, cap, fundable.tobytes())
+    if key in model._cache:
+        return model._cache[key]
+    E1 = rankcalc.expected_rank_table(model, q, M)
+    ti = np.zeros(M + 1, dtype=int)
+    marg = np.full(M + 1, -np.inf)
+    for r in range(1, M + 1):
+        if fundable[r] and cap >= 1:
+            marg[r] = E1[r, 1] - E1[r, 0]
+    order = []
+    while np.any(marg >= -1e-12):
+        r = int(np.argmax(marg))
+        order.append(r)
+        ti[r] += 1
+        marg[r] = (E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap else -np.inf
+    model._cache[key] = np.array(order, dtype=np.intp)
+    return model._cache[key]
+
+
 def optimize_hop_scalar(h_in, model, budget, q, M, m0):
     """`recoding.optimize_hop` for one rank distribution, as it was before
     it took stacks: the cached grant order's costs accumulated in one 1-D
-    `subtract.accumulate`, the paid counts by `bincount`."""
+    `subtract.accumulate`, the paid counts by `bincount`, over the grant
+    order of the ranks that h funds (`greedy_order_masked`)."""
     h = np.asarray(h_in, dtype=float)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     cap = min(m0, model.m_max)
     fundable = h > 0
     fundable[0] = False
-    order = _greedy_order(model, q, M, cap, fundable)
+    order = greedy_order_masked(model, q, M, cap, fundable)
     costs = h[order]
     # rem[k]: budget left before the k-th grant, subtracted in grant order
     rem = np.subtract.accumulate(np.concatenate(([float(budget)], costs)))

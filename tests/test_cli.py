@@ -129,6 +129,14 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
     ("up", "links[0].id", lambda d: d["links"][0].update(id=["e1"])),
     ("up", "links[0].from", lambda d: d["links"][0].update({"from": ["a"]})),
     ("up", "links[0].to", lambda d: d["links"][0].update(to=["b"])),
+    # the next four ended in an OverflowError traceback, m0 = 32, exit 3
+    # and a capacity of 1.0
+    ("nap", "code.m0_factor",
+     lambda d: d["code"].update(m0_factor=float("inf"))),
+    ("nap", "code.m0_factor", lambda d: d["code"].update(m0_factor=2.5)),
+    ("up", "links[0].capacity",
+     lambda d: d["links"][0].update(capacity=float("nan"))),
+    ("up", "links[0].capacity", lambda d: d["links"][0].update(capacity=True)),
 ] + [("nap", "solver", lambda d, k=k: d["solver"].update({k: 1}))
      for k in REMOVED_SOLVER_FIELDS],
     ids=["epsilon", "p_gb", "batch_size", "capacity", "m0_factor", "dual_iters",
@@ -140,7 +148,8 @@ REMOVED_SOLVER_FIELDS = ("step_a", "step_b", "multiplier_tol", "polish_rounds",
          "duplicate_flow_id", "epsilon_missing", "node_list", "loss_kind_list",
          "interference_int", "interference_entry_list", "flow_id_list",
          "link_id_list", "link_from_list", "link_to_list",
-         *REMOVED_SOLVER_FIELDS])
+         "m0_factor_infinity", "m0_factor_fraction", "capacity_nan",
+         "capacity_bool", *REMOVED_SOLVER_FIELDS])
 def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     bad = copy.deepcopy(TINY)
     edit(bad)

@@ -7,7 +7,8 @@ from batsnum import loss, recoding
 from batsnum.recoding import (RecodingPolicy, average_packets,
                               expand_almost_deterministic, optimize_hop)
 from oracles import (almost_deterministic_exhaustive, average_packets_by_rank,
-                     optimize_hop_budget_loop, optimize_hop_scalar)
+                     greedy_order_masked, optimize_hop_budget_loop,
+                     optimize_hop_scalar)
 from batsnum import rankcalc
 
 
@@ -170,7 +171,7 @@ def test_optimize_hop_bit_equal_to_budget_loop():
                 m0 = int(rng.integers(0, model.m_max + 1))
                 fundable = h > 0
                 fundable[0] = False
-                order = recoding._greedy_order(
+                order = greedy_order_masked(
                     model, 256, M, min(m0, model.m_max), fundable)
                 costs = h[order]
                 full = float(costs.sum())
@@ -198,8 +199,8 @@ def _stack_budgets(h, model, M, m0, rng):
     for i, row in enumerate(h):
         fundable = row > 0
         fundable[0] = False
-        order = recoding._greedy_order(model, 256, M, min(m0, model.m_max),
-                                       fundable)
+        order = greedy_order_masked(model, 256, M, min(m0, model.m_max),
+                                    fundable)
         prefix = np.cumsum(row[order])
         full = float(prefix[-1]) if len(order) else 0.0
         edge = float(prefix[rng.integers(len(order))]) if len(order) else 1.0
@@ -216,6 +217,7 @@ def test_stacked_optimize_hop_bit_equal_to_scalar():
               _nonconcave_model()]
     rng = np.random.default_rng(23)
     for model in models:
+        built = set()
         for M in (4, 16):
             # m0 below, at and above the model's m_max
             for m0 in (0, 3, model.m_max, model.m_max + 7):
@@ -229,6 +231,10 @@ def test_stacked_optimize_hop_bit_equal_to_scalar():
                 budgets[-2] = 1.0
                 assert len({tuple(row > 0) for row in h}) > 2
                 got = optimize_hop(h, model, budgets, 256, M, m0)
+                # one cached order per (M, cap), whatever ranks rows fund
+                built.add(("greedy_order", 256, M, min(m0, model.m_max)))
+                assert {k for k in model._cache
+                        if k[0] == "greedy_order"} == built
                 for i, row in enumerate(h):
                     want = optimize_hop_scalar(row, model, budgets[i], 256,
                                                M, m0)
@@ -261,13 +267,51 @@ def test_average_packets_bit_equal_to_rank_loop():
 
 def test_greedy_order_cached_read_only():
     model = loss.independent_loss_model(0.2, 20)
-    fundable = np.ones(5, dtype=bool)
-    fundable[0] = False
-    order = recoding._greedy_order(model, 256, 4, 12, fundable)
+    order = recoding._greedy_order(model, 256, 4, 12)
     assert len(order) == 4 * 12
     with pytest.raises(ValueError):
         order[0] = 1
-    assert recoding._greedy_order(model, 256, 4, 12, fundable) is order
+    assert recoding._greedy_order(model, 256, 4, 12) is order
+
+
+def _first_marginal_tie(model, M):
+    """(lo, hi), lo < hi, two ranks whose first grants gain the same."""
+    E1 = rankcalc.expected_rank_table(model, 256, M)
+    gain = E1[1:M + 1, 1] - E1[1:M + 1, 0]
+    for lo in range(M):
+        for hi in range(lo + 1, M):
+            if gain[lo] == gain[hi]:
+                return lo + 1, hi + 1
+    raise AssertionError("no tie")
+
+
+def test_greedy_order_restricted_equals_masked_oracle():
+    # the one order per (model, cap), kept to the funded ranks, is the
+    # greedy's order over those ranks alone, concave curves or not
+    ge = loss.LossSpec.gilbert_elliott(0.9, 0.3, 0.1, 0.3)
+    models = [loss.independent_loss_model(0.2, 24),
+              loss.empirical_loss_model(ge, m_max=24, samples=2000,
+                                        rng_seed=5),
+              _nonconcave_model()]
+    rng = np.random.default_rng(24)
+    for model in models:
+        for M in (4, 16):
+            masks = [np.zeros(M + 1, dtype=bool)]
+            for r in (1, M // 2, M):
+                masks.append(unit_h(M, r) > 0)
+            masks += [rng.random(M + 1) < 0.5 for _ in range(10)]
+            if M == 16 and model.m_max == 24:
+                # 256^-r vanishes against 1 for large r, so two ranks tie
+                # on their first grant; fund only the higher one
+                lo, hi = _first_marginal_tie(model, M)
+                tie = rng.random(M + 1) < 0.5
+                tie[lo], tie[hi] = False, True
+                masks.append(tie)
+            for cap in (0, 3, model.m_max):
+                order = recoding._greedy_order(model, 256, M, cap)
+                for mask in masks:
+                    want = greedy_order_masked(model, 256, M, cap, mask)
+                    assert np.array_equal(order[mask[order]], want)
 
 
 def test_policy_json_roundtrip():
