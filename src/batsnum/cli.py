@@ -192,8 +192,6 @@ def build_parser():
 
     sp = sub.add_parser("reproduce",
                         help="solve the built-in cases and emit summary tables")
-    sp.add_argument("--tables", action="store_true",
-                    help="accepted for compatibility; tables are always written")
     sp.add_argument("--loss", choices=["iid", "ge"], default=None,
                     help="restrict to one loss family")
     sp.add_argument("--case", type=int, choices=range(1, 12), default=None,

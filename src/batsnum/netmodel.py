@@ -103,6 +103,8 @@ class Flow:
     def validate_against(self, network):
         prev_head = None
         for lid in self.links:
+            if lid not in network._index:
+                raise ValidationError(f"flow {self.id}: no link {lid!r}")
             link = network.link(lid)
             if prev_head is not None and link.tail != prev_head:
                 raise ValidationError(

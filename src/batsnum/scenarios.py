@@ -85,152 +85,151 @@ def preset_config(name, loss_family="iid"):
     return _line_case(int(name[4:]), loss_family)
 
 
-def _number(value, path, kind=float, least=None):
-    """`value` as a finite `kind`, at least `least`; a ValidationError names
-    `path`. Booleans, and fractions where `kind` is int, are refused."""
-    try:
-        got = kind(value)
-        ok = (not isinstance(value, bool) and math.isfinite(got)
-              and not (isinstance(value, float) and got != value))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        want = "an integer" if kind is int else "a finite number"
-        raise ValidationError(f"{path}: expected {want}, got {value!r}")
-    if least is not None and got < least:
-        raise ValidationError(f"{path}: {got} is below {least}")
-    return got
+# The bounds keep a solve from failing: m0 = m0_factor * batch_size and
+# m_max stay at most 1,024, below where a binomial loss table overflows a
+# float (m = 1,031), and outside the capacity window the allocation's
+# interior-point method stops on its absolute tolerances (README).
+NAME = ("name",)
+PROBABILITY = ("number", float, 0.0, 1.0)
+
+INTERFERENCE = {"two-hop": two_hop_interference,
+                "all": all_collision_interference, "none": lambda net: {}}
+
+_CODE = {"field_size": Scenario.q, "batch_size": Scenario.M, "m0_factor": 10}
+_LOSS_MODEL = {"m_max": LossModelOptions.m_max,
+               "samples": LossModelOptions.samples}
+_SEEDS = {"loss_model": LossModelOptions.seed}
+_SOLVER = dataclasses.asdict(SolverConfig())
+
+SCHEMA = ("object", {
+    "name": NAME,
+    "nodes": ("list", NAME, 1),
+    "links": ("list", ("object", {
+        "id": NAME, "from": NAME, "to": NAME,
+        "capacity": ("number", float, 0.2, 100.0),
+        "loss": ("tagged", "kind", {
+            "independent": {"epsilon": PROBABILITY},
+            "gilbert_elliott": dict.fromkeys(
+                ("s_good", "s_bad", "p_gb", "p_bg"), PROBABILITY)}),
+    }, {}), 1),
+    "interference": ("either", ("enum", tuple(INTERFERENCE)),
+                     ("map", ("list", NAME, 0))),
+    "flows": ("list", ("object", {
+        "id": NAME, "links": ("list", NAME, 1),
+        "batch_size": ("number", int, 1, 64),
+    }, {"id": None, "batch_size": None}), 1),
+    "code": ("object", {
+        "field_size": ("number", int, 2, 2 ** 16),
+        "batch_size": ("number", int, 1, 64),
+        "m0_factor": ("number", int, 1, 16),
+    }, _CODE),
+    "loss_model": ("object", {
+        "m_max": ("number", int, 1, 1024),
+        "samples": ("number", int, 1, 100_000),
+    }, _LOSS_MODEL),
+    "seeds": ("object", {"loss_model": ("number", int, 0, 2 ** 64 - 1)},
+              _SEEDS),
+    "solver": ("object", dict.fromkeys(
+        _SOLVER, ("number", int, 0, 100_000)), _SOLVER),
+}, {"name": Scenario.name, "interference": "two-hop", "code": _CODE,
+    "loss_model": _LOSS_MODEL, "seeds": _SEEDS, "solver": _SOLVER})
 
 
-def _typed(value, kind, path):
-    """`value` if it is a `kind`; a ValidationError names `path` if not."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{path}: expected {kind.__name__}, got {value!r}")
-    return value
+def _check(value, spec, path):
+    """`value` checked against `spec`, a kind named by its first item, with
+    an object's missing keys set to their defaults (None leaves the key to
+    the builder); a ValidationError names `path`."""
+    def fail(message):
+        raise ValidationError(f"{path or 'scenario'}: {message}")
 
-
-def _name(value, path):
-    """`value` as a name: a string, or a number made a string."""
-    if not isinstance(value, (str, int, float)):
-        raise ValidationError(f"{path}: expected a name, got {value!r}")
-    return str(value)
-
-
-def _names(value, path):
-    """`value` as a list of names."""
-    return [_name(x, f"{path}[{i}]")
-            for i, x in enumerate(_typed(value, list, path))]
-
-
-def _object(value, path, known):
-    """`value` as a dict whose keys are all in `known`; a ValidationError
-    names `path` if not."""
-    bad = set(_typed(value, dict, path)) - set(known)
-    if bad:
-        raise ValidationError(f"{path}: unknown fields {sorted(bad)}")
-    return value
-
-
-def _section(doc, key, known):
-    """doc[key] (default {}) as a dict whose keys are all in `known`."""
-    return _object(doc.get(key, {}), key, known)
-
-
-LOSS_FIELDS = {"independent": ("epsilon",),
-               "gilbert_elliott": ("s_good", "s_bad", "p_gb", "p_bg")}
-
-
-def _loss_spec(doc, path):
-    kind = _typed(doc, dict, path).get("kind")
-    if not isinstance(kind, str) or kind not in LOSS_FIELDS:
-        raise ValidationError(f"{path}: unknown loss kind {kind!r}")
-    _object(doc, path, ("kind",) + LOSS_FIELDS[kind])
-    try:
-        if kind == "independent":
-            return LossSpec.independent(
-                _number(doc["epsilon"], f"{path}.epsilon"))
-        return LossSpec.gilbert_elliott(
-            *(_number(doc[k], f"{path}.{k}") for k in LOSS_FIELDS[kind]))
-    except KeyError as e:
-        raise ValidationError(f"{path}: missing field {e}") from None
-    except ParameterError as e:
-        raise ValidationError(f"{path}: {e}") from None
-
-
-LINK_FIELDS = ("id", "from", "to", "capacity", "loss")
+    kind = spec[0]
+    if kind == "name":  # a string, or a finite number read as one
+        if (isinstance(value, bool) or not isinstance(value, (str, int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            fail(f"expected a name, got {value!r}")
+        return str(value)
+    if kind == "number":
+        want, lo, hi = spec[1:]
+        if want is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if (isinstance(value, bool) or not isinstance(value, (want, int))
+                or not lo <= value <= hi):
+            fail(f"expected {want.__name__} in [{lo}, {hi}], got {value!r}")
+        return want(value)
+    if kind == "enum":
+        if value not in spec[1]:
+            fail(f"expected one of {spec[1]}, got {value!r}")
+        return value
+    if kind == "either":  # the second kind for an object, else the first
+        return _check(value, spec[2 if isinstance(value, dict) else 1], path)
+    if kind == "list":
+        item, least = spec[1:]
+        if not isinstance(value, list) or len(value) < least:
+            fail(f"expected a list of at least {least} items, got {value!r}")
+        return [_check(x, item, f"{path}[{i}]") for i, x in enumerate(value)]
+    if not isinstance(value, dict):
+        fail(f"expected an object, got {value!r}")
+    if kind == "map":
+        return {k: _check(v, spec[1], f"{path}.{k}") for k, v in value.items()}
+    if kind == "tagged":  # value[tag] picks the fields of the object
+        tag, variants = spec[1:]
+        choice = value.get(tag)
+        if not isinstance(choice, str) or choice not in variants:
+            fail(f"unknown {tag} {choice!r}")
+        return _check(value, ("object", {tag: ("enum", (choice,)),
+                                         **variants[choice]}, {}), path)
+    fields, defaults = spec[1:]
+    unknown = set(value) - set(fields)
+    if unknown:
+        fail(f"unknown fields {sorted(unknown)}")
+    for key in fields:
+        if key not in value and key not in defaults:
+            fail(f"missing field {key!r}")
+    return {**defaults, **{k: _check(v, fields[k], f"{path}.{k}" if path else k)
+                           for k, v in value.items()}}
 
 
 def scenario_from_config(doc):
     """Validate a configuration dict and build a Scenario."""
-    _object(doc, "scenario", ("name", "nodes", "links", "interference", "flows",
-                              "code", "seeds", "loss_model", "solver"))
-    for key in ("nodes", "links", "flows"):
-        if key not in doc:
-            raise ValidationError(f"missing top-level field {key!r}")
+    doc = _check(doc, SCHEMA, "")
     links = []
-    for i, ld in enumerate(_typed(doc["links"], list, "links")):
-        path = f"links[{i}]"
-        _object(ld, path, LINK_FIELDS)
-        for key in LINK_FIELDS:
-            if key not in ld:
-                raise ValidationError(f"{path}: missing field {key!r}")
-        links.append(Link(id=_name(ld["id"], f"{path}.id"),
-                          tail=_name(ld["from"], f"{path}.from"),
-                          head=_name(ld["to"], f"{path}.to"),
-                          capacity=_number(ld["capacity"], f"{path}.capacity"),
-                          loss=_loss_spec(ld["loss"], f"{path}.loss")))
-    net = Network(nodes=_names(doc["nodes"], "nodes"), links=links)
-    inter = doc.get("interference", "two-hop")
-    if inter == "two-hop":
-        net.interference = two_hop_interference(net)
-    elif inter == "all":
-        net.interference = all_collision_interference(net)
-    elif inter == "none":
-        net.interference = {l.id: frozenset() for l in links}
-    elif isinstance(inter, dict):
-        net.interference = {e: frozenset(_names(v, f"interference.{e}"))
-                            for e, v in inter.items()}
-    else:
-        raise ValidationError("interference must be two-hop|all|none|mapping")
-    net.__post_init__()  # re-validate with the final interference sets
-    code = _section(doc, "code", ("field_size", "batch_size", "m0_factor"))
-    M = _number(code.get("batch_size", 16), "code.batch_size", int, 1)
-    flows = []
-    for i, fd in enumerate(_typed(doc["flows"], list, "flows")):
-        path = f"flows[{i}]"
-        if "links" not in _object(fd, path, ("id", "links", "batch_size")):
-            raise ValidationError(f"{path}: missing field 'links'")
-        if fd.get("batch_size", M) != M:
-            raise ValidationError(f"{path}: batch_size {fd['batch_size']!r} "
-                                  f"differs from code.batch_size {M}")
-        flow = Flow(id=_name(fd.get("id", f"f{i+1}"), f"{path}.id"),
-                    batch_size=M,
-                    links=tuple(_names(fd["links"], f"{path}.links")))
-        if flow.id in {f.id for f in flows}:
-            raise ValidationError(f"{path}.id: duplicate flow id {flow.id!r}")
+    for i, ld in enumerate(doc["links"]):
+        params = dict(ld["loss"])
         try:
+            loss = getattr(LossSpec, params.pop("kind"))(**params)
+        except ParameterError as e:
+            raise ValidationError(f"links[{i}].loss: {e}") from None
+        links.append(Link(id=ld["id"], tail=ld["from"], head=ld["to"],
+                          capacity=ld["capacity"], loss=loss))
+    net = Network(nodes=doc["nodes"], links=links)
+    inter = doc["interference"]
+    net.interference = (INTERFERENCE[inter](net) if isinstance(inter, str)
+                        else {e: frozenset(v) for e, v in inter.items()})
+    net.__post_init__()  # re-validate with the final interference sets
+    code = doc["code"]
+    M, q = code["batch_size"], code["field_size"]
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # q's least prime
+    if p ** round(math.log(q, p)) != q:
+        raise ValidationError(f"code.field_size: {q} is not a prime power")
+    flows = []
+    for i, fd in enumerate(doc["flows"]):
+        if fd["batch_size"] not in (None, M):
+            raise ValidationError(f"flows[{i}]: batch_size {fd['batch_size']!r}"
+                                  f" differs from code.batch_size {M}")
+        fid = f"f{i + 1}" if fd["id"] is None else fd["id"]
+        if fid in {f.id for f in flows}:
+            raise ValidationError(f"flows[{i}].id: duplicate flow id {fid!r}")
+        try:
+            flow = Flow(id=fid, batch_size=M, links=tuple(fd["links"]))
             flow.validate_against(net)
         except ValidationError as e:
-            raise ValidationError(f"{path}: {e}") from None
+            raise ValidationError(f"flows[{i}]: {e}") from None
         flows.append(flow)
-    seeds = _section(doc, "seeds", ("loss_model",))
-    loss_doc = _section(doc, "loss_model", ("m_max", "samples"))
-    opts = LossModelOptions(
-        m_max=_number(loss_doc.get("m_max", 100), "loss_model.m_max", int, 1),
-        samples=_number(loss_doc.get("samples", 10000), "loss_model.samples",
-                        int, 1),
-        seed=_number(seeds.get("loss_model", 1), "seeds.loss_model", int),
-    )
-    known = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
-    solver_doc = _section(doc, "solver", known)
-    solver = SolverConfig(**{k: _number(v, f"solver.{k}", known[k])
-                             for k, v in solver_doc.items()})
     return Scenario(
-        network=net, flows=flows,
-        q=_number(code.get("field_size", 256), "code.field_size", int, 2), M=M,
-        m0=_number(code.get("m0_factor", 10), "code.m0_factor", int, 1) * M,
-        loss_options=opts, solver=solver,
-        name=str(doc.get("name", "scenario")))
+        network=net, flows=flows, q=q, M=M, m0=code["m0_factor"] * M,
+        loss_options=LossModelOptions(**doc["loss_model"],
+                                      seed=doc["seeds"]["loss_model"]),
+        solver=SolverConfig(**doc["solver"]), name=doc["name"])
 
 
 def scenario_to_config(scenario):
@@ -238,9 +237,7 @@ def scenario_to_config(scenario):
     def loss_doc(spec):
         if spec.kind == "independent":
             return {"kind": "independent", "epsilon": spec.epsilon}
-        return {"kind": "gilbert_elliott", "s_good": spec.ge.s_good,
-                "s_bad": spec.ge.s_bad, "p_gb": spec.ge.p_gb,
-                "p_bg": spec.ge.p_bg}
+        return {"kind": spec.kind, **dataclasses.asdict(spec.ge)}
 
     return {
         "name": scenario.name,

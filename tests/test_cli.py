@@ -160,6 +160,65 @@ def test_bad_scenario_documents_exit_2(tmp_path, capsys, mode, where, edit):
     assert where in capsys.readouterr().err
 
 
+TINY_GE = {**copy.deepcopy(TINY), "loss_model": {"m_max": 48, "samples": 100},
+           "seeds": {"loss_model": 1}}
+TINY_GE["links"][1]["loss"] = {"kind": "gilbert_elliott", "s_good": 1.0,
+                               "s_bad": 0.6, "p_gb": 1e-3, "p_bg": 1e-3}
+SWEEP_VALUES = [None, True, False, "x", "1.5", [], {}, float("nan"),
+                float("inf"), -1, 0, 2.5, 1e308, 10 ** 30]
+NAMES = ["x", "1.5", -1, 0, 2.5, 1e308, 10 ** 30]
+# the values that load and solve when put in place of the value at a path;
+# at every other path each of SWEEP_VALUES exits 2
+SWEEP_ACCEPTED = {
+    "name": NAMES, "flows[0].id": NAMES,
+    "links[0].capacity": [2.5], "links[1].capacity": [2.5],
+    "links[0].loss.epsilon": [0], "links[1].loss.epsilon": [0],
+    "links[1].loss.s_good": [0], "links[1].loss.s_bad": [0],
+    "interference": [{}], "code": [{}], "solver": [{}],
+    "solver.dual_iters": [0], "loss_model": [{}], "seeds": [{}],
+    "seeds.loss_model": [0],
+}
+
+
+def _document_paths(node, path=""):
+    """(path, key chain) of every value below `node`, in document order."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        sub = (f"{path}[{key}]" if isinstance(key, int)
+               else f"{path}.{key}" if path else key)
+        yield sub, (key,)
+        for deeper, keys in _document_paths(value, sub):
+            yield deeper, (key,) + keys
+
+
+@pytest.mark.parametrize("base,path,keys", [
+    pytest.param(base, path, keys, id=f"{name}-{path}")
+    for name, base in (("tiny", TINY), ("ge", TINY_GE))
+    for path, keys in _document_paths(base)])
+def test_mutated_documents_exit_0_or_2(tmp_path, capsys, base, path, keys):
+    # a traceback or exit 3 is a document the schema should have refused;
+    # each is recorded, not raised, so a failure lists every such value
+    outcomes = []
+    for value in SWEEP_VALUES:
+        doc = copy.deepcopy(base)
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = copy.deepcopy(value)
+        p = tmp_path / "mutant.json"
+        p.write_text(json.dumps(doc))
+        try:
+            outcomes.append((value, cli.main(
+                ["solve", "--mode", "nap", "--scenario", str(p),
+                 "--outdir", str(tmp_path)])))
+        except Exception as e:
+            outcomes.append((value, repr(e)))
+    assert [o for o in outcomes if o[1] not in (0, 2)] == []
+    assert [v for v, code in outcomes if code == 0] == SWEEP_ACCEPTED.get(
+        path, [])
+
+
 def _exit_code(argv):
     """`cli.main`'s return code, or the code argparse exits with."""
     try:
@@ -248,7 +307,7 @@ def test_export_config_presets_load_back(tmp_path, capsys):
 
 
 def test_simulate_unsupported_field_exits_4(tmp_path, capsys):
-    # the solver accepts any field size; the simulator's arithmetic has
+    # the solver accepts any prime power; the simulator's arithmetic has
     # GF(2) and GF(256) only
     doc = copy.deepcopy(TINY)
     doc["code"]["field_size"] = 16
@@ -345,9 +404,9 @@ def test_cli_requires_target():
 def test_cli_reproduce_case1_deterministic(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
-    assert cli.main(["reproduce", "--tables", "--case", "1", "--loss", "iid",
+    assert cli.main(["reproduce", "--case", "1", "--loss", "iid",
                      "--outdir", str(out1)]) == 0
-    assert cli.main(["reproduce", "--tables", "--case", "1", "--loss", "iid",
+    assert cli.main(["reproduce", "--case", "1", "--loss", "iid",
                      "--outdir", str(out2)]) == 0
     t1 = (out1 / "tables.csv").read_bytes()
     t2 = (out2 / "tables.csv").read_bytes()

@@ -8,6 +8,7 @@ from batsnum.loss import LossSpec
 from batsnum.netmodel import (Flow, Link, Network, Schedule, ValidationError,
                               enumerate_feasible_schedules,
                               two_hop_interference)
+from batsnum.solvers import Scenario
 from oracles import (DecompositionError, decompose_rate_vector,
                      max_weight_schedule, schedule_is_feasible)
 
@@ -153,6 +154,15 @@ def test_flow_validation():
         Flow(id="dup", links=("e1", "e1"), batch_size=16)
     with pytest.raises(ValidationError):
         Flow(id="empty", links=(), batch_size=16)
+
+
+def test_scenario_rejects_flow_over_unknown_link():
+    # a link id the network lacks reached Network.link's dict lookup
+    net = line_network(2)
+    for links in (("e9",), ("e1", "e9"), (1,)):
+        flow = Flow(id="f", links=links, batch_size=16)
+        with pytest.raises(ValidationError, match="flow f: no link"):
+            Scenario(network=net, flows=[flow])
 
 
 def test_network_validation():
