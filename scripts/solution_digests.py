@@ -7,7 +7,10 @@ NAP and two-step `Solution.to_json()` (the digests frozen in
 counts per flow and hop, the NAP schedule count, the candidate-pool size,
 the column-generation rounds, columns per flow and bound, the NAP and
 two-step wall times (loss models and search tables built beforehand),
-the allocation certificate and the scheduled link rates. Under `estimation` it holds, per
+the seconds and rows of the NAP's allocations (`alloc_s`, `alloc_rows`:
+its cut-set bound and every pool row, timed around
+`solvers._exact_concave_allocation`), the allocation certificate and the
+scheduled link rates. Under `estimation` it holds, per
 distinct bursty channel (keyed `s_good/s_bad/p_gb/p_bg`), the SHA-1 of the
 estimated q-table and the seconds its estimation took; under `sweep_s`, the
 wall time of the whole sweep, estimation included.
@@ -18,8 +21,8 @@ wall time of the whole sweep, estimation included.
 With `--compare` it prints, per instance, whether the NAP and two-step
 SHA-1s are unchanged, the signed change of U(nap) and U(two-step), |dU~|,
 whether the NAP counts are unchanged, the pool sizes, the schedule
-counts, the largest move of a link rate, the rounds and the NAP and
-two-step wall times, then per channel whether the q-table is unchanged
+counts, the largest move of a link rate, the rounds, the NAP and
+two-step wall times and the allocation seconds and rows, then per channel whether the q-table is unchanged
 and the estimation seconds, and the sweep's wall time.
 """
 
@@ -59,9 +62,24 @@ def record(case, family):
     sc = load_scenario(f"case{case}", loss_family=family)
     for flow in sc.flows:
         sc.flow_search(flow)
-    start = time.perf_counter()
-    nap = solvers.solve_nap(sc)
-    nap_s = time.perf_counter() - start
+    alloc, inner = {"s": 0.0, "rows": 0}, solvers._exact_concave_allocation
+
+    def timed(A, R):
+        start = time.perf_counter()
+        try:
+            return inner(A, R)
+        finally:
+            alloc["s"] += time.perf_counter() - start
+            # a checkout before the stacked allocation solves one A (E, k)
+            alloc["rows"] += len(A) if A.ndim == 3 else 1
+
+    solvers._exact_concave_allocation = timed
+    try:
+        start = time.perf_counter()
+        nap = solvers.solve_nap(sc)
+        nap_s = time.perf_counter() - start
+    finally:
+        solvers._exact_concave_allocation = inner
     start = time.perf_counter()
     two = solvers.two_step_solve(sc, nap_solution=nap)
     two_step_s = time.perf_counter() - start
@@ -80,6 +98,8 @@ def record(case, family):
         "bound": repr(nap.status.get("bound")),
         "nap_s": round(nap_s, 3),
         "two_step_s": round(two_step_s, 3),
+        "alloc_s": round(alloc["s"], 3),
+        "alloc_rows": alloc["rows"],
         "allocation": nap.status["allocation"],
         "rate_vector": [repr(float(r)) for r in nap.rate_vector],
     }
@@ -97,8 +117,8 @@ def compare(old, new):
     print("| instance | same SHA-1s | dU(nap) | dU(two-step) | \\|dU~\\| "
           "| same NAP counts "
           "| pool | schedules | max \\|d rate\\| | rounds | NAP s "
-          "| two-step s |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+          "| two-step s | alloc s | alloc rows |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for case, family in INSTANCES:
         key = f"{family} {case}"
         o, n = old[key], new[key]
@@ -114,7 +134,9 @@ def compare(old, new):
               f"| {max_delta(o['rate_vector'], n['rate_vector']):.2g} "
               f"| {n['rounds']} "
               f"| {o.get('nap_s', '-')} -> {n['nap_s']} "
-              f"| {o.get('two_step_s', '-')} -> {n['two_step_s']} |")
+              f"| {o.get('two_step_s', '-')} -> {n['two_step_s']} "
+              f"| {o.get('alloc_s', '-')} -> {n['alloc_s']} "
+              f"| {o.get('alloc_rows', '-')} -> {n['alloc_rows']} |")
     print("\n| channel | same q-table | estimation s |\n|---|---|---|")
     for key, n in new["estimation"].items():
         o = old.get("estimation", {}).get(key, {})

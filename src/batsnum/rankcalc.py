@@ -108,6 +108,8 @@ def almost_deterministic_transition(t, model, q, M):
     lo = np.floor(t).astype(int)
     frac = t - lo
     lo[..., 0], frac[..., 0] = 0, 0.0
-    r = np.arange(M + 1)
-    hi = np.minimum(lo + 1, model.m_max)
-    return (1.0 - frac)[..., None] * W[lo, r] + frac[..., None] * W[hi, r]
+    P = W[lo, np.arange(M + 1)]
+    at = np.nonzero(frac > 0)  # 1.0 * x + 0.0 * y is x: mix only fractions
+    f = frac[at][:, None]
+    P[at] = (1.0 - f) * P[at] + f * W[np.minimum(lo[at] + 1, model.m_max), at[-1]]
+    return P

@@ -236,64 +236,85 @@ FAIRNESS_SLACK = 0.02     # total within this of the best
 
 
 def _interior_point(G, h, x0, derivs):
-    """Mehrotra predictor-corrector on min f(x) s.t. G x <= h from the
-    strictly feasible x0; `derivs(x)` returns the gradient and Hessian of
-    f, or None outside its domain. Returns x, the multipliers of the rows
-    and the iterations.
+    """Mehrotra predictor-corrector on a stack of problems min f(x) s.t.
+    G x <= h, one from each strictly feasible row of x0. `derivs(X, rows)`
+    returns the gradients of the problems `rows` at the rows of X (NaN
+    outside f's domain) and a function giving their Hessians. Returns the
+    stacked x, multipliers of the rows of G and iterations.
 
     Newton steps solve the augmented KKT system [[H, G^T], [G, -S/Z]], not
     its normal equations, which lose definiteness when the optimum is a
     face with several rows active. f is not quadratic, so steps backtrack.
+    A problem leaves the stack once converged, with the bits of a solve on
+    its own: LAPACK per row, per-row BLAS dots, scalar centering powers.
     """
-    E, n = G.shape[1], G.shape[0]
-    x = np.concatenate([x0, h - G @ x0, np.ones(n)])  # x, slacks s, duals z
-    K = np.block([[np.zeros((E, E)), G.T], [G, np.zeros((n, n))]])
-    getrs, = linalg.lapack.get_lapack_funcs(("getrs",), (K,))
+    (n, E), B, N = G.shape, len(x0), sum(G.shape)
+    dots = lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    X = np.concatenate([x0, h - np.matmul(G, x0[:, :, None])[:, :, 0],
+                        np.ones((B, n))], axis=1)  # x, slacks s, duals z
+    rows, out = np.arange(B), (np.empty((B, E)), np.empty((B, n)), np.zeros(B, int))
+    K0 = np.block([[np.zeros((E, E)), G.T], [G, np.zeros((n, n))]])
+    getrf, getrs = linalg.lapack.get_lapack_funcs(("getrf", "getrs"), (K0,))
 
-    def residuals(x, target=0.0):
-        got, s, z = derivs(x[:E]), x[E:E + n], x[E + n:]
-        if got is None:
-            return None, np.full(E + 2 * n, np.inf)
-        return got[1], np.concatenate([G.T @ z + got[0], G @ x[:E] + s - h,
-                                       s * z - target])
+    def residuals(X, rows, target):  # target: 0, or one column per row
+        g, hess = derivs(X[:, :E], rows)
+        s, z = X[:, E:N], X[:, N:]
+        return hess, np.concatenate([np.matmul(z[:, None, :], G)[:, 0] + g,
+                                     np.matmul(G, X[:, :E, None])[:, :, 0] + s - h,
+                                     s * z - target], axis=1)
 
-    def to_boundary(dx):  # largest step in (0, 1] keeping s, z >= 0
-        neg = dx[E:] < 0
-        return float(np.min(-x[E:][neg] / dx[E:][neg], initial=1.0))
+    def to_boundary(X, dX):  # largest steps in (0, 1] keeping s, z >= 0
+        neg = dX[:, E:] < 0
+        return np.where(neg, -X[:, E:] / np.where(neg, dX[:, E:], -1.0),
+                        1.0).min(axis=1, initial=1.0)
 
     for it in range(1, ALLOCATION_MAX_ITERS + 1):
-        H, r = residuals(x)
-        s, z = x[E:E + n], x[E + n:]
-        if s @ z <= 1e-13 and np.max(np.abs(r[:E] * x[:E])) <= 1e-13:
-            return x[:E], z, it
-        K[:E, :E] = H
-        K[E:, E:].flat[::n + 1] = -s / z
-        lu, piv = linalg.lu_factor(K, check_finite=False)
+        hess, r = residuals(X, rows, 0.0)
+        H, sz = hess(), dots(X[:, E:N], X[:, N:])
+        done = (sz <= 1e-13) & (np.abs(r[:, :E] * X[:, :E]).max(axis=1) <= 1e-13)
+        if done.any():
+            for o, v in zip(out, (X[done, :E], X[done, N:], it)):
+                o[rows[done]] = v
+            if done.all():
+                return out
+            X, rows, H, r, sz = X[~done], rows[~done], H[~done], r[~done], sz[~done]
+        s, z, i = X[:, E:N], X[:, N:], np.arange(len(rows))
+        K = np.repeat(K0[None], len(rows), axis=0)
+        K[:, :E, :E] = H
+        K.reshape(len(K), -1)[:, E * (N + 1)::N + 1] = -s / z
+        factors = [getrf(k)[:2] for k in K]  # lu_factor's call, unchecked
 
-        def direction(rc):  # LAPACK's solve on the factors, as lu_solve calls it
-            y = getrs(lu, piv, np.concatenate([-r[:E], rc / z - r[E:E + n]]))[0]
-            return np.concatenate([y[:E], -(rc + s * y[E:]) / z, y[E:]])
+        def direction(i, rc):  # LAPACK's solve on the factors of rows i
+            rhs = np.concatenate([-r[i, :E], rc / z[i] - r[i, E:N]], axis=1)
+            y = np.array([getrs(*factors[j], b)[0] for j, b in zip(i, rhs)])
+            return np.concatenate([y[:, :E], -(rc + s[i] * y[:, E:]) / z[i],
+                                   y[:, E:]], axis=1)
 
-        dx = direction(s * z)
-        a, ds, dz = to_boundary(dx), dx[E:E + n], dx[E + n:]
+        dx = direction(i, s * z)
+        a, ds, dz = to_boundary(X, dx), dx[:, E:N], dx[:, N:]
         # Mehrotra's centering: sigma * mu = mu_affine^3 / mu^2
-        sigma_mu = ((s + a * ds) @ (z + a * dz)) ** 3 / (n * (s @ z) ** 2)
-        merit = np.sum(residuals(x, sigma_mu)[1] ** 2)
-        # if the corrector's ds * dz term spoils descent, take plain Newton
-        for dx in map(direction, (s * z + ds * dz - sigma_mu, s * z - sigma_mu)):
-            a = 0.99 * to_boundary(dx)
-            while a > 1e-10 and np.sum(residuals(x + a * dx, sigma_mu)[1] ** 2) > (
-                    1 - 1e-4 * a) * merit:
-                a *= 0.5
-            if a > 1e-10:
+        sigma_mu = np.array([[ma ** 3 / (n * mu ** 2)] for ma, mu in zip(
+            dots(s + a[:, None] * ds, z + a[:, None] * dz), sz)])
+        merit = (np.concatenate([r[:, :N], s * z - sigma_mu], axis=1) ** 2).sum(axis=1)
+        # where the corrector's ds * dz term spoils descent, take plain Newton
+        for rc in (s * z + ds * dz - sigma_mu, s * z - sigma_mu):
+            dx[i] = direction(i, rc[i])
+            a[i] = 0.99 * to_boundary(X[i], dx[i])
+            j = i[a[i] > 1e-10]
+            while len(j):  # halve until the merit falls enough (never NaN)
+                trial = residuals(X[j] + a[j, None] * dx[j], rows[j], sigma_mu[j])[1]
+                j = j[~((trial ** 2).sum(axis=1) <= (1 - 1e-4 * a[j]) * merit[j])]
+                a[j] *= 0.5
+                j = j[a[j] > 1e-10]
+            if not len(i := i[a[i] <= 1e-10]):
                 break
-        x = x + a * dx
+        X = X + a[:, None] * dx
     raise RuntimeError("allocation dual not solved in "
                        f"{ALLOCATION_MAX_ITERS} interior-point iterations")
 
 
 def _exact_concave_allocation(A, R):
-    """Exact allocation from one interior-point solve of the dual.
+    """Exact allocation of each load matrix in the stack A, one dual solve.
 
     Stationarity reads A (1/d) = R^T z_R - z_I with d = A^T lam, so the
     weights w = z_R / sum(z_R) (positive: the multipliers stay interior)
@@ -301,36 +322,42 @@ def _exact_concave_allocation(A, R):
     Any lam >= 0 bounds the optimum by UB = -sum_i log(a_i . lam)
     - k log k + k log max_s (R lam)_s; the status carries the gap UB - U.
     """
-    (S, E), k = R.shape, A.shape[1]
-    if np.any(A.sum(axis=0) <= 0):
+    (S, E), k = R.shape, A.shape[2]
+    if np.any(A.sum(axis=1) <= 0):
         raise ValueError("every flow must place positive load on some link")
 
-    def derivs(lam):  # of the dual objective -sum_i log(a_i . lam)
-        d = A.T @ lam
-        return None if d.min() <= 0 else (-(A @ (1.0 / d)), (A / d**2) @ A.T)
+    def derivs(lam, rows):  # of the dual objectives -sum_i log(a_i . lam)
+        At = A[rows]
+        d = np.matmul(lam[:, None, :], At)[:, 0]
+        d[d <= 0] = np.nan
+        return -np.matmul(At, (1.0 / d)[:, :, None])[:, :, 0], lambda: np.matmul(
+            At / (d**2)[:, None, :], At.transpose(0, 2, 1))
 
-    lam, z, iters = _interior_point(
+    lams, zs, iters = _interior_point(
         np.vstack([R, -np.eye(E)]), np.concatenate([np.ones(S), np.zeros(E)]),
-        np.full(E, 0.5 / R.sum(axis=1).max()), derivs)
-    lam = np.maximum(lam, 0.0)
-    d = A.T @ lam
-    load = A @ (1.0 / d)
-    w = z[:S] / z[:S].sum()
-    while w.sum() > 1.0:  # rounding can leave the sum an ulp above 1
-        w *= 1.0 - np.finfo(float).eps
-    pos = load > 0
-    alpha = float(np.min((R.T @ w)[pos] / load[pos])) / d
-    u_total = float(np.sum(np.log(np.maximum(alpha, 1e-300))))
-    top = float(np.max(R @ lam))
-    gap = float(-np.sum(np.log(d)) - k * math.log(k) + k * math.log(top)) - u_total
-    if not gap <= ALLOCATION_GAP_TOL:
-        raise RuntimeError(f"allocation duality gap {gap:.3g} above "
-                           f"{ALLOCATION_GAP_TOL:g}")
-    violation = max(float(np.max(A @ alpha - R.T @ w)), w.sum() - 1.0, -w.min())
-    return ConcaveAllocation(
-        alpha=alpha, weights=w, duals=k * lam / top, u_total=u_total,
-        status={"gap": gap, "max_violation": float(violation),
-                "iterations": iters})
+        np.full((len(A), E), 0.5 / R.sum(axis=1).max()), derivs)
+    out = []
+    for a, lam, z, it in zip(A, lams, zs, iters):
+        lam = np.maximum(lam, 0.0)
+        d = a.T @ lam
+        load = a @ (1.0 / d)
+        w = z[:S] / z[:S].sum()
+        while w.sum() > 1.0:  # rounding can leave the sum an ulp above 1
+            w *= 1.0 - np.finfo(float).eps
+        pos = load > 0
+        alpha = float(np.min((R.T @ w)[pos] / load[pos])) / d
+        u_total = float(np.sum(np.log(np.maximum(alpha, 1e-300))))
+        top = float(np.max(R @ lam))
+        gap = float(-np.sum(np.log(d)) - k * math.log(k) + k * math.log(top)) - u_total
+        if not gap <= ALLOCATION_GAP_TOL:
+            raise RuntimeError(f"allocation duality gap {gap:.3g} above "
+                               f"{ALLOCATION_GAP_TOL:g}")
+        violation = max(float(np.max(a @ alpha - R.T @ w)), w.sum() - 1.0, -w.min())
+        out.append(ConcaveAllocation(
+            alpha=alpha, weights=w, duals=k * lam / top, u_total=u_total,
+            status={"gap": gap, "max_violation": float(violation),
+                    "iterations": int(it)}))
+    return out
 
 
 def _column_master(cols, R):
@@ -344,17 +371,17 @@ def _column_master(cols, R):
     sizes = [len(cs) for cs in cols]
     owner, starts = np.repeat(np.arange(k), sizes), np.cumsum([0] + sizes[:-1])
 
-    def derivs(x):
-        t = x[E:]
-        return None if t.min() <= 0 else (np.concatenate([np.zeros(E), -1.0 / t]),
-                                          np.diag(np.r_[np.zeros(E), 1.0 / t**2]))
+    def derivs(x, rows):  # of the stack of one
+        t = np.where(x[0, E:] > 0, x[0, E:], np.nan)
+        return (np.concatenate([np.zeros(E), -1.0 / t])[None],
+                lambda: np.diag(np.r_[np.zeros(E), 1.0 / t**2])[None])
 
     lam0 = np.full(E, 0.5 / R.sum(axis=1).max())
-    x, z, _ = _interior_point(
+    (x,), (z,), _ = _interior_point(
         np.block([[R, np.zeros((S, k))], [-np.eye(E), np.zeros((E, k))],
                   [-C.T, np.eye(k)[owner]]]),
         np.r_[np.ones(S), np.zeros(E + len(owner))],
-        np.r_[lam0, 0.5 * np.minimum.reduceat(lam0 @ C, starts)], derivs)
+        np.r_[lam0, 0.5 * np.minimum.reduceat(lam0 @ C, starts)][None], derivs)
     lam, w, beta = np.maximum(x[:E], 0.0), z[:S], z[S + E:]
     bound = float(-np.sum(np.log(np.minimum.reduceat(lam @ C, starts)))
                   - k * math.log(k) + k * math.log(np.max(R @ lam)))
@@ -392,22 +419,32 @@ def solve_fixed_policy(scenario, policies):
     exactly and recovered to a feasible (alpha, s). No bound is solved, so
     u_tilde and kappa are NaN.
     """
-    passes = [_policy_mbar_and_rank(scenario, flow, pols)
-              for flow, pols in zip(scenario.flows, policies)]
-    mbar, ranks = [p[0] for p in passes], np.array([p[2] for p in passes])
+    return _solve_fixed_policies(scenario, [policies])[0]
+
+
+def _solve_fixed_policies(scenario, policy_sets):
+    """`solve_fixed_policy` of each policy set, the allocations one stack."""
+    passes = [[_policy_mbar_and_rank(scenario, flow, pols)
+               for flow, pols in zip(scenario.flows, policies)]
+              for policies in policy_sets]
     scheds, R = schedule_rate_matrix(scenario.network)
-    alloc = _exact_concave_allocation(_load_matrix(scenario, mbar), R)
-    utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
-    return Solution(
-        mode="fixed", flow_ids=[f.id for f in scenario.flows],
-        alpha=alloc.alpha, eta=np.ones(len(scenario.flows)), policies=policies,
-        mbar=mbar, expected_rank=ranks, utilities=utilities,
-        u_total=float(utilities.sum()), u_tilde=math.nan, kappa=math.nan,
-        rate_vector=R.T @ alloc.weights,
-        schedule_weights=[(scheds[i], float(alloc.weights[i]))
-                          for i in np.flatnonzero(alloc.weights > 1e-9)],
-        status={"allocation": alloc.status,
-                "duals": [float(x) for x in alloc.duals]})
+    allocs = _exact_concave_allocation(np.stack(
+        [_load_matrix(scenario, [p[0] for p in ps]) for ps in passes]), R)
+    out = []
+    for policies, ps, alloc in zip(policy_sets, passes, allocs):
+        mbar, ranks = [p[0] for p in ps], np.array([p[2] for p in ps])
+        utilities = np.log(np.maximum(alloc.alpha * ranks, 1e-300))
+        out.append(Solution(
+            mode="fixed", flow_ids=[f.id for f in scenario.flows],
+            alpha=alloc.alpha, eta=np.ones(len(scenario.flows)), policies=policies,
+            mbar=mbar, expected_rank=ranks, utilities=utilities,
+            u_total=float(utilities.sum()), u_tilde=math.nan, kappa=math.nan,
+            rate_vector=R.T @ alloc.weights,
+            schedule_weights=[(scheds[i], float(alloc.weights[i]))
+                              for i in np.flatnonzero(alloc.weights > 1e-9)],
+            status={"allocation": alloc.status,
+                    "duals": [float(x) for x in alloc.duals]}))
+    return out
 
 
 @dataclass
@@ -426,7 +463,7 @@ def solve_up(scenario):
     """
     A = _load_matrix(scenario, [[1.0] * len(f.links) for f in scenario.flows])
     R = schedule_rate_matrix(scenario.network)[1]
-    alloc = _exact_concave_allocation(A, R * (1.0 - scenario.eps_vector()))
+    alloc = _exact_concave_allocation(A[None], R * (1.0 - scenario.eps_vector()))[0]
     utilities = np.log(np.maximum(alloc.alpha, 1e-300))
     return UpperBoundResult(
         u_tilde=float(utilities.sum()), utilities=utilities, f=alloc.alpha,
@@ -610,10 +647,11 @@ def solve_nap(scenario):
 
     Column generation (priced by the +-1 search) solves the dual of the
     relaxation in which flows time-share count vectors; a short dual
-    subgradient loop starts at its prices and heaviest columns. Every
-    joint count vector either visits is recovered exactly; a groupwise
-    +-1 polish escapes dual-gap basins, and the pick prefers a fair split
-    among near-best candidates, polished among fair ones.
+    subgradient loop starts at its prices and heaviest columns. The joint
+    count vectors either visits are recovered exactly in one stack, and a
+    groupwise +-1 polish (one stack of new moves per pass) escapes dual-gap
+    basins; the pick prefers a fair split among near-best candidates,
+    polished among fair ones. Pool, order and bits are those of one-by-one.
     """
     cfg = scenario.solver
     up = solve_up(scenario)
@@ -646,13 +684,14 @@ def solve_nap(scenario):
 
     pool = {}
 
-    def evaluate(kk):
+    def evaluate(keys):  # those not pooled yet, in order, as one stack
         # a flow whose counts are all zero has no load and utility -inf
-        if kk not in pool and all(any(mv) for mv in kk):
-            pool[kk] = solve_fixed_policy(
-                scenario, [[RecodingPolicy.nonadaptive(m) for m in mv]
-                           for mv in kk])
-        return pool.get(kk)
+        new = [kk for kk in dict.fromkeys(keys)
+               if kk not in pool and all(any(mv) for mv in kk)]
+        if new:
+            pool.update(zip(new, _solve_fixed_policies(scenario, [
+                [[RecodingPolicy.nonadaptive(m) for m in mv] for mv in kk]
+                for kk in new])))
 
     def total(kk):
         return pool[kk].u_total
@@ -662,9 +701,10 @@ def solve_nap(scenario):
 
     def polish(best_key, max_spread):
         for _ in range(POLISH_ROUNDS):
-            improved = False
-            for kk in _groupwise_moves(best_key, caps, shared):
-                if kk != best_key and evaluate(kk) is not None and (
+            improved, moves = False, _groupwise_moves(best_key, caps, shared)
+            evaluate(moves)
+            for kk in moves:
+                if kk != best_key and kk in pool and (
                         total(kk) > total(best_key) + 1e-10
                         and spread(kk) <= max_spread):
                     best_key = kk
@@ -673,10 +713,8 @@ def solve_nap(scenario):
                 break
         return best_key
 
-    for kk in visited:
-        evaluate(kk)
-    best_key = max(pool, key=total)
-    evaluate(_symmetrized_seed(best_key, caps, shared))
+    evaluate(visited)
+    evaluate([_symmetrized_seed(max(pool, key=total), caps, shared)])
     best_key = polish(max(pool, key=total), math.inf)
     # fairness-aware pick among near-best candidates
     best_total = total(best_key)

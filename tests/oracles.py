@@ -22,6 +22,9 @@ rank distribution, that whole grant order paid by one accumulate),
 `flow_two_step_grid_loop` (one `optimize_hop_scalar` chain per grid
 scale) and `average_packets_by_rank` (a policy's support summed rank by
 rank). `gf256_rank_stacked` ranks a stack of GF(256) matrices at once.
+The allocation's single-problem interior-point loop is kept as the
+reference of the stacked core: `interior_point_single`, with
+`concave_allocation_single` and `column_master_single` on top of it.
 """
 
 import itertools
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from batsnum import ffmat, loss, rankcalc, solvers
 from batsnum.ffmat import _INV256, _MUL256, _check_field
@@ -760,3 +763,112 @@ def trust_constr_allocation(A, R):
         alpha=alpha, weights=w, duals=lam,
         u_total=float(np.sum(np.log(np.maximum(alpha, 1e-300)))),
         status={"dual_converged": bool(res.success), "dual_iters": int(res.nit)})
+
+
+def interior_point_single(G, h, x0, derivs, retries=None):
+    """The interior-point core on one problem, the loop that
+    `solvers._interior_point` stacks; `derivs(x)` returns the gradient
+    and Hessian of f, or None outside its domain. Appends to `retries`
+    each iteration whose corrector fails and takes plain Newton."""
+    E, n = G.shape[1], G.shape[0]
+    x = np.concatenate([x0, h - G @ x0, np.ones(n)])  # x, slacks s, duals z
+    K = np.block([[np.zeros((E, E)), G.T], [G, np.zeros((n, n))]])
+    getrs, = linalg.lapack.get_lapack_funcs(("getrs",), (K,))
+
+    def residuals(x, target=0.0):
+        got, s, z = derivs(x[:E]), x[E:E + n], x[E + n:]
+        if got is None:
+            return None, np.full(E + 2 * n, np.inf)
+        return got[1], np.concatenate([G.T @ z + got[0], G @ x[:E] + s - h,
+                                       s * z - target])
+
+    def to_boundary(dx):  # largest step in (0, 1] keeping s, z >= 0
+        neg = dx[E:] < 0
+        return float(np.min(-x[E:][neg] / dx[E:][neg], initial=1.0))
+
+    for it in range(1, solvers.ALLOCATION_MAX_ITERS + 1):
+        H, r = residuals(x)
+        s, z = x[E:E + n], x[E + n:]
+        if s @ z <= 1e-13 and np.max(np.abs(r[:E] * x[:E])) <= 1e-13:
+            return x[:E], z, it
+        K[:E, :E] = H
+        K[E:, E:].flat[::n + 1] = -s / z
+        lu, piv = linalg.lu_factor(K, check_finite=False)
+
+        def direction(rc):  # LAPACK's solve on the factors, as lu_solve calls it
+            y = getrs(lu, piv, np.concatenate([-r[:E], rc / z - r[E:E + n]]))[0]
+            return np.concatenate([y[:E], -(rc + s * y[E:]) / z, y[E:]])
+
+        dx = direction(s * z)
+        a, ds, dz = to_boundary(dx), dx[E:E + n], dx[E + n:]
+        # Mehrotra's centering: sigma * mu = mu_affine^3 / mu^2
+        sigma_mu = ((s + a * ds) @ (z + a * dz)) ** 3 / (n * (s @ z) ** 2)
+        merit = np.sum(residuals(x, sigma_mu)[1] ** 2)
+        # if the corrector's ds * dz term spoils descent, take plain Newton
+        for plain, dx in enumerate(map(direction, (s * z + ds * dz - sigma_mu,
+                                                   s * z - sigma_mu))):
+            if plain and retries is not None:
+                retries.append(it)
+            a = 0.99 * to_boundary(dx)
+            while a > 1e-10 and np.sum(residuals(x + a * dx, sigma_mu)[1] ** 2) > (
+                    1 - 1e-4 * a) * merit:
+                a *= 0.5
+            if a > 1e-10:
+                break
+        x = x + a * dx
+    raise RuntimeError("allocation dual not solved in "
+                       f"{solvers.ALLOCATION_MAX_ITERS} interior-point iterations")
+
+
+def concave_allocation_single(A, R):
+    """`solvers._exact_concave_allocation` of one load matrix A (E, k) on
+    `interior_point_single`: the core's x and z, and the allocation."""
+    (S, E), k = R.shape, A.shape[1]
+
+    def derivs(lam):  # of the dual objective -sum_i log(a_i . lam)
+        d = A.T @ lam
+        return None if d.min() <= 0 else (-(A @ (1.0 / d)), (A / d**2) @ A.T)
+
+    x, z, iters = interior_point_single(
+        np.vstack([R, -np.eye(E)]), np.concatenate([np.ones(S), np.zeros(E)]),
+        np.full(E, 0.5 / R.sum(axis=1).max()), derivs)
+    lam = np.maximum(x, 0.0)
+    d = A.T @ lam
+    load = A @ (1.0 / d)
+    w = z[:S] / z[:S].sum()
+    while w.sum() > 1.0:  # rounding can leave the sum an ulp above 1
+        w *= 1.0 - np.finfo(float).eps
+    pos = load > 0
+    alpha = float(np.min((R.T @ w)[pos] / load[pos])) / d
+    u_total = float(np.sum(np.log(np.maximum(alpha, 1e-300))))
+    top = float(np.max(R @ lam))
+    gap = float(-np.sum(np.log(d)) - k * math.log(k) + k * math.log(top)) - u_total
+    violation = max(float(np.max(A @ alpha - R.T @ w)), w.sum() - 1.0, -w.min())
+    return x, z, ConcaveAllocation(
+        alpha=alpha, weights=w, duals=k * lam / top, u_total=u_total,
+        status={"gap": gap, "max_violation": float(violation),
+                "iterations": iters})
+
+
+def column_master_single(cols, R, retries=None):
+    """`solvers._column_master` on `interior_point_single`."""
+    (S, E), k = R.shape, len(cols)
+    C = np.column_stack([c for cs in cols for c in cs])
+    sizes = [len(cs) for cs in cols]
+    owner, starts = np.repeat(np.arange(k), sizes), np.cumsum([0] + sizes[:-1])
+
+    def derivs(x):
+        t = x[E:]
+        return None if t.min() <= 0 else (np.concatenate([np.zeros(E), -1.0 / t]),
+                                          np.diag(np.r_[np.zeros(E), 1.0 / t**2]))
+
+    lam0 = np.full(E, 0.5 / R.sum(axis=1).max())
+    x, z, _ = interior_point_single(
+        np.block([[R, np.zeros((S, k))], [-np.eye(E), np.zeros((E, k))],
+                  [-C.T, np.eye(k)[owner]]]),
+        np.r_[np.ones(S), np.zeros(E + len(owner))],
+        np.r_[lam0, 0.5 * np.minimum.reduceat(lam0 @ C, starts)], derivs, retries)
+    lam, w, beta = np.maximum(x[:E], 0.0), z[:S], z[S + E:]
+    bound = float(-np.sum(np.log(np.minimum.reduceat(lam @ C, starts)))
+                  - k * math.log(k) + k * math.log(np.max(R @ lam)))
+    return lam, x[E:], np.split(beta, starts[1:]), w, bound

@@ -10,8 +10,10 @@ claiming up to 1e-7 more utility than the certified optimum.
 """
 
 import numpy as np
+import oracles
 import pytest
-from oracles import trust_constr_allocation
+from oracles import (column_master_single, concave_allocation_single,
+                     trust_constr_allocation)
 from scipy import optimize
 from test_solvers import make_line_scenario
 
@@ -22,7 +24,7 @@ CASES = [(case, family) for family in ("iid", "ge") for case in range(1, 12)]
 
 
 def check_allocation(A, R):
-    alloc = solvers._exact_concave_allocation(A, R)
+    alloc, = solvers._exact_concave_allocation(A[None], R)
     cert = alloc.status
     assert -1e-12 <= cert["gap"] <= 1e-10
     assert cert["max_violation"] <= 1e-12
@@ -40,13 +42,13 @@ def check_allocation(A, R):
 
 
 def recorded_allocations(monkeypatch, solve, scenario):
-    """Every (A, R) that `solve(scenario)` passes to the allocation, and
-    the solve's result."""
+    """Every (A, R) that `solve(scenario)` passes to the allocation, each
+    stack split into its rows, and the solve's result."""
     seen = []
     inner = solvers._exact_concave_allocation
 
     def record(A, R):
-        seen.append((A.copy(), R.copy()))
+        seen.extend((a.copy(), R.copy()) for a in A)
         return inner(A, R)
 
     monkeypatch.setattr(solvers, "_exact_concave_allocation", record)
@@ -82,15 +84,23 @@ def test_line_with_a_flow_on_one_shared_link(monkeypatch):
     assert sol.status["allocation"]["gap"] <= 1e-10
 
 
-def random_instance(rng):
-    E, k, S = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 12))
+def random_loads(rng, E, k):
     A = rng.random((E, k)) * (rng.random((E, k)) < 0.6) * 30
     for i in np.flatnonzero(A.sum(axis=0) == 0):
         A[rng.integers(E), i] = 10.0
+    return A
+
+
+def random_rates(rng, S, E):
     R = (rng.random((S, E)) < 0.4) * rng.uniform(0.5, 2.0, (S, E))
     for e in np.flatnonzero(R.sum(axis=0) == 0):
         R[rng.integers(S), e] = 1.0
-    return A, R
+    return R
+
+
+def random_instance(rng):
+    E, k, S = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 12))
+    return random_loads(rng, E, k), random_rates(rng, S, E)
 
 
 def test_random_instances():
@@ -161,7 +171,7 @@ def test_master_with_one_column_is_the_allocation(solved, source):
         master = solvers._column_master(cols, R)
         check_master(cols, R, master)
         assert master[4] == pytest.approx(
-            solvers._exact_concave_allocation(A, R).u_total, abs=1e-9)
+            solvers._exact_concave_allocation(A[None], R)[0].u_total, abs=1e-9)
 
 
 @pytest.mark.parametrize("family", ["iid", "ge"])
@@ -204,3 +214,90 @@ def test_cli_solve_exits_3_at_iteration_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(solvers, "ALLOCATION_MAX_ITERS", 1)
     assert cli.main(["solve", "--case", "1", "--mode", "up",
                      "--outdir", str(tmp_path)]) == 3
+
+
+def core_of(monkeypatch, owner, name, solve, *args):
+    """`solve(*args)` and the x, z and iterations that the interior-point
+    core `owner.name` returned inside it."""
+    core, inner = [], getattr(owner, name)
+
+    def record(*a):
+        core.append(inner(*a))
+        return core[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(owner, name, record)
+        out = solve(*args)
+    return out, core[0]
+
+
+def assert_stack_bit_equal_to_single(monkeypatch, A, R):
+    """Every row of the stacked allocation of A (B, E, k), its core's x, z
+    and iterations and its certificate, equals the single-problem loop."""
+    allocs, (x, z, iters) = core_of(monkeypatch, solvers, "_interior_point",
+                                    solvers._exact_concave_allocation, A, R)
+    for i, alloc in enumerate(allocs):
+        x1, z1, ref = concave_allocation_single(A[i], R)
+        assert np.array_equal(x[i], x1) and np.array_equal(z[i], z1)
+        assert iters[i] == ref.status["iterations"]
+        assert alloc.status == ref.status
+        for f in ("alpha", "weights", "duals"):
+            assert np.array_equal(getattr(alloc, f), getattr(ref, f))
+        assert alloc.u_total == ref.u_total
+    return iters
+
+
+@pytest.mark.parametrize("case,family", CASES)
+def test_nap_pools_bit_equal_to_single(solved, monkeypatch, case, family):
+    stacks, inner = [], solvers._exact_concave_allocation
+
+    def record(A, R):
+        stacks.append((A.copy(), R.copy()))
+        return inner(A, R)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_exact_concave_allocation", record)
+        nap = solvers.solve_nap(solved.scenario(case, family))
+    # the cut-set bound, then the pool's batches
+    assert sum(len(A) for A, _ in stacks[1:]) == nap.status["candidates_evaluated"]
+    for A, R in stacks:
+        assert_stack_bit_equal_to_single(monkeypatch, A, R)
+
+
+def test_random_stack_bit_equal_to_single(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    R = random_rates(rng, 11, 8)
+    A = np.stack([random_loads(rng, 8, 3) for _ in range(200)])
+    iters = assert_stack_bit_equal_to_single(monkeypatch, A, R)
+    assert len(set(iters.tolist())) > 3  # rows leave the stack at different steps
+
+
+def test_backtracking_instance_stacked_beside_an_easy_row(monkeypatch):
+    A = np.array([[[2.078, 0.0, 28.848], [23.409, 10.0, 29.327]],
+                  [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]])
+    R = np.array([[0.959, 1.001], [0.0, 0.0]])
+    iters = assert_stack_bit_equal_to_single(monkeypatch, A, R)
+    assert iters[0] != iters[1]
+
+
+def test_retrying_masters_bit_equal_to_single(monkeypatch):
+    # one-column masters of the random instances whose corrector fails
+    # at some step, so that the step falls back to plain Newton
+    rng = np.random.default_rng(20261018)
+    retried = 0
+    for _ in range(200):
+        A, R = random_instance(rng)
+        cols, retries = [[a] for a in A.T], []
+        want, (x1, z1, it1) = core_of(monkeypatch, oracles, "interior_point_single",
+                                      column_master_single, cols, R, retries)
+        if not retries:
+            continue
+        retried += 1
+        got, (x, z, iters) = core_of(monkeypatch, solvers, "_interior_point",
+                                     solvers._column_master, cols, R)
+        assert np.array_equal(x, [x1]) and np.array_equal(z, [z1])
+        assert iters.tolist() == [it1]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+        assert np.array_equal(got[3], want[3]) and got[4] == want[4]
+    assert retried >= 20

@@ -112,6 +112,28 @@ def test_almost_deterministic_transition_matches_expanded_policy():
                     assert np.array_equal(got, want)
 
 
+def test_almost_deterministic_transition_stack_mixes_only_fractions():
+    # a (2, 3, M+1) stack: integral rows, rows with several fractional
+    # ranks, and fractional targets at rank 0 (which sends nothing)
+    M, m0 = 8, 20
+    model = loss.independent_loss_model(0.3, m0)
+    rng = np.random.default_rng(45)
+    t = rng.integers(0, m0 + 1, (2, 3, M + 1)).astype(float)
+    t[0, 1, [2, 3, 7]] += [0.25, 0.5, 0.75]
+    t[1, 0, 0] = 3.5
+    t[1, 2] = rng.uniform(0, m0, M + 1)
+    t[1, 2, -1] = m0
+    got = rankcalc.almost_deterministic_transition(t, model, 256, M)
+    assert got.shape == (2, 3, M + 1, M + 1)
+    for idx in np.ndindex(2, 3):
+        want = rankcalc.transition_matrix(
+            expand_almost_deterministic(t[idx], m0), model, 256, M)
+        assert np.array_equal(got[idx], want)
+        assert np.array_equal(
+            got[idx], rankcalc.almost_deterministic_transition(t[idx], model,
+                                                               256, M))
+
+
 @pytest.mark.parametrize("family", ["iid", "ge"])
 def test_nonadaptive_transition_is_the_mixing_path(family):
     model = (loss.independent_loss_model(0.2, 24) if family == "iid" else
