@@ -9,8 +9,10 @@ the column-generation rounds, columns per flow and bound, the NAP and
 two-step wall times (loss models and search tables built beforehand),
 the seconds and rows of the NAP's allocations (`alloc_s`, `alloc_rows`:
 its cut-set bound and every pool row, timed around
-`solvers._exact_concave_allocation`), the allocation certificate and the
-scheduled link rates. Under `estimation` it holds, per
+`solvers._exact_concave_allocation`), the ±1 neighborhoods the NAP's
+search built (`neighborhoods`: its memo sizes summed over flows), the
+two-step's `recoding.optimize_hop` calls (`hop_calls`), the allocation
+certificate and the scheduled link rates. Under `estimation` it holds, per
 distinct bursty channel (keyed `s_good/s_bad/p_gb/p_bg`), the SHA-1 of the
 estimated q-table and the seconds its estimation took; under `sweep_s`, the
 wall time of the whole sweep, estimation included.
@@ -22,8 +24,11 @@ With `--compare` it prints, per instance, whether the NAP and two-step
 SHA-1s are unchanged, the signed change of U(nap) and U(two-step), |dU~|,
 whether the NAP counts are unchanged, the pool sizes, the schedule
 counts, the largest move of a link rate, the rounds, the NAP and
-two-step wall times and the allocation seconds and rows, then per channel whether the q-table is unchanged
-and the estimation seconds, and the sweep's wall time.
+two-step wall times, the allocation seconds and rows, the neighborhoods
+and the `optimize_hop` calls, then per channel whether the q-table is
+unchanged and the estimation seconds, and the sweep's wall time. It
+exits 1, naming them on standard error, when an instance's NAP or
+two-step SHA-1 or a channel's q-table SHA-1 differs, else 0.
 """
 
 import argparse
@@ -32,7 +37,7 @@ import json
 import sys
 import time
 
-from batsnum import solvers
+from batsnum import recoding, solvers
 from batsnum.scenarios import load_scenario
 
 INSTANCES = [(case, family) for family in ("iid", "ge") for case in range(1, 12)]
@@ -73,6 +78,12 @@ def record(case, family):
             # a checkout before the stacked allocation solves one A (E, k)
             alloc["rows"] += len(A) if A.ndim == 3 else 1
 
+    hop, inner_hop = {"calls": 0}, recoding.optimize_hop
+
+    def counted(*args):
+        hop["calls"] += 1
+        return inner_hop(*args)
+
     solvers._exact_concave_allocation = timed
     try:
         start = time.perf_counter()
@@ -80,9 +91,13 @@ def record(case, family):
         nap_s = time.perf_counter() - start
     finally:
         solvers._exact_concave_allocation = inner
-    start = time.perf_counter()
-    two = solvers.two_step_solve(sc, nap_solution=nap)
-    two_step_s = time.perf_counter() - start
+    recoding.optimize_hop = counted
+    try:
+        start = time.perf_counter()
+        two = solvers.two_step_solve(sc, nap_solution=nap)
+        two_step_s = time.perf_counter() - start
+    finally:
+        recoding.optimize_hop = inner_hop
     return {
         "nap_sha1": digest(nap),
         "two_step_sha1": digest(two),
@@ -100,6 +115,8 @@ def record(case, family):
         "two_step_s": round(two_step_s, 3),
         "alloc_s": round(alloc["s"], 3),
         "alloc_rows": alloc["rows"],
+        "neighborhoods": sum(len(sc.flow_search(f).memo) for f in sc.flows),
+        "hop_calls": hop["calls"],
         "allocation": nap.status["allocation"],
         "rate_vector": [repr(float(r)) for r in nap.rate_vector],
     }
@@ -114,16 +131,21 @@ def delta_total(old, new):
 
 
 def compare(old, new):
+    """Print the differences; return the instances and channels whose
+    SHA-1s changed."""
+    changed = []
     print("| instance | same SHA-1s | dU(nap) | dU(two-step) | \\|dU~\\| "
           "| same NAP counts "
           "| pool | schedules | max \\|d rate\\| | rounds | NAP s "
-          "| two-step s | alloc s | alloc rows |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|")
+          "| two-step s | alloc s | alloc rows | neighborhoods | hop calls |")
+    print("|---" * 16 + "|")
     for case, family in INSTANCES:
         key = f"{family} {case}"
         o, n = old[key], new[key]
         same = ["yes" if o[f] == n[f] else "NO"
                 for f in ("nap_sha1", "two_step_sha1")]
+        if "NO" in same:
+            changed.append(key)
         print(f"| {key} | {'/'.join(same)} "
               f"| {delta_total(o['nap_utilities'], n['nap_utilities']):+.2g} "
               f"| {delta_total(o['two_step_utilities'], n['two_step_utilities']):+.2g} "
@@ -136,13 +158,18 @@ def compare(old, new):
               f"| {o.get('nap_s', '-')} -> {n['nap_s']} "
               f"| {o.get('two_step_s', '-')} -> {n['two_step_s']} "
               f"| {o.get('alloc_s', '-')} -> {n['alloc_s']} "
-              f"| {o.get('alloc_rows', '-')} -> {n['alloc_rows']} |")
+              f"| {o.get('alloc_rows', '-')} -> {n['alloc_rows']} "
+              f"| {o.get('neighborhoods', '-')} -> {n['neighborhoods']} "
+              f"| {o.get('hop_calls', '-')} -> {n['hop_calls']} |")
     print("\n| channel | same q-table | estimation s |\n|---|---|---|")
     for key, n in new["estimation"].items():
         o = old.get("estimation", {}).get(key, {})
+        if o.get("sha1") != n["sha1"]:
+            changed.append(key)
         print(f"| {key} | {'yes' if o.get('sha1') == n['sha1'] else 'NO'} "
               f"| {o.get('s', '-')} -> {n['s']} |")
     print(f"\nsweep: {old.get('sweep_s', '-')} -> {new['sweep_s']} s")
+    return changed
 
 
 def main():
@@ -160,7 +187,10 @@ def main():
         json.dump(doc, fh, indent=1, sort_keys=True)
     if args.compare:
         with open(args.compare, encoding="utf-8") as fh:
-            compare(json.load(fh), doc)
+            changed = compare(json.load(fh), doc)
+        if changed:
+            print("changed SHA-1: " + ", ".join(changed), file=sys.stderr)
+            return 1
     return 0
 
 

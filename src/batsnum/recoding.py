@@ -140,6 +140,11 @@ class HopResult:
         use: a solve reads only its final hops' policies."""
         return expand_almost_deterministic(self.targets, self.m0)
 
+    def row(self, i):
+        """Row i of a stacked result, as a single-row call returns it."""
+        return HopResult(float(self.expected_rank[i]), self.targets[i],
+                         self.m0, float(self.budget_used[i]), self.h_out[i])
+
 
 def _greedy_order(model, q, M, cap):
     """Ranks in the order the greedy grants them, with an unlimited budget.
@@ -203,9 +208,8 @@ def optimize_hop(h_in, model, budget, q, M, m0):
     h_out = np.matmul(H[:, None, :], P)[:, 0]
     rank = np.matmul(h_out[:, None, :], np.arange(M + 1.0)[:, None])[:, 0, 0]
     used = budgets - remaining
-    if h.ndim == 1:
-        return HopResult(float(rank[0]), t[0], m0, float(used[0]), h_out[0])
-    return HopResult(rank, t, m0, used, h_out)
+    res = HopResult(rank, t, m0, used, h_out)
+    return res.row(0) if h.ndim == 1 else res
 
 
 def _pay(order, h, budgets, M):

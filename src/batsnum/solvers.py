@@ -502,14 +502,16 @@ class LocalSearchResult:
 def _neighborhood_ranks(W_list, opts, M):
     """Expected destination ranks of the 3^L candidates built from `opts`.
 
-    A forward stack of batched matrix products (3 GEMMs per hop); the
-    candidate order is that of itertools.product, first hop slowest.
+    A forward stack, one stacked product per hop written straight in
+    candidate order (numpy runs the same GEMM per table as three separate
+    products); the order is that of itertools.product, first hop slowest.
     """
     X = np.zeros((1, M + 1))
     X[0, M] = 1.0
-    for W, (lo, mid, hi) in zip(W_list, opts):
-        X = np.stack([X @ W[lo], X @ W[mid], X @ W[hi]],
-                     axis=1).reshape(-1, M + 1)
+    for W, o in zip(W_list, opts):
+        Y = np.empty((len(X), 3, M + 1))
+        np.matmul(X, W[o], out=Y.swapaxes(0, 1))
+        X = Y.reshape(-1, M + 1)
     vals = X @ np.arange(M + 1, dtype=float)
     vals.flags.writeable = False
     return vals
@@ -742,48 +744,79 @@ ETA_START = 1.0
 ETA_STOP = 3.0
 ETA_STEP = 0.01
 ETA_TOL = 1e-4
+ETA_LOOKAHEAD = 3  # golden-section iterations evaluated ahead of a miss
+PHI = (math.sqrt(5) - 1) / 2
+
+
+def _golden_step(lo, hi, x1, x2, right):
+    """One golden-section iteration on (lo, hi) with x1 < x2 inside: keep
+    [x1, hi] if `right` (f(x1) < f(x2)), else [lo, x2]; (state, new point)."""
+    if right:
+        lo, x1, x2 = x1, x2, x1 + PHI * (hi - x1)
+        return (lo, hi, x1, x2), x2
+    hi, x1, x2 = x2, x2 - PHI * (x2 - lo), x1
+    return (lo, hi, x1, x2), x1
 
 
 def _flow_two_step(scenario, flow, m_vec, alpha):
-    """Scan the batch-rate scale eta (the grid as one stack) with per-hop
-    budgets m_e/eta greedily realloc'd; (eta, rank, per-hop HopResults)."""
+    """Scan the batch-rate scale eta with per-hop budgets m_e/eta greedily
+    realloc'd; (eta, rank, per-hop HopResults).
+
+    The grid is one stack. The golden section reads f(eta) from a table
+    that a miss fills with one stack: the missing points and every point
+    `_golden_step` can reach in the next ETA_LOOKAHEAD iterations on
+    either branch, final midpoints included. Stacked rows equal single
+    ones, so this is the sequential loop's result to the bit.
+    """
     models = [scenario.loss_model(e) for e in flow.links]
     caps = scenario.flow_caps(flow)
     source = rankcalc.source_distribution(scenario.M)
 
-    def realloc(eta):  # eta: one scale, or an array of them
-        h, hops = np.broadcast_to(source, np.shape(eta) + source.shape), []
+    def realloc(etas):  # one stacked hop chain; f(eta) per row
+        h, hops = np.broadcast_to(source, etas.shape + source.shape), []
         for (model, me, cap) in zip(models, m_vec, caps):
-            hops.append(recoding.optimize_hop(h, model, me / eta, scenario.q,
+            hops.append(recoding.optimize_hop(h, model, me / etas, scenario.q,
                                               scenario.M, int(cap)))
             h = hops[-1].h_out
-        return hops[-1].expected_rank, hops
+        return etas * alpha * hops[-1].expected_rank, hops
+
+    table = {}  # eta -> (f(eta), the stacked hops, its row)
+
+    def lookup(state, etas):  # f(etas); a miss stacks the look-ahead
+        if any(e not in table for e in etas):
+            stack, level = list(etas), [state]
+            for depth in range(ETA_LOOKAHEAD + 1):
+                deeper = []
+                for lo, hi, x1, x2 in level:
+                    if hi - lo <= ETA_TOL:
+                        stack.append((lo + hi) / 2)
+                    elif depth < ETA_LOOKAHEAD:
+                        for right in (False, True):
+                            nxt, e = _golden_step(lo, hi, x1, x2, right)
+                            stack.append(e)
+                            deeper.append(nxt)
+                level = deeper
+            stack = [e for e in dict.fromkeys(stack) if e not in table]
+            vals, hops = realloc(np.array(stack))
+            table.update((e, (vals[i], hops, i)) for i, e in enumerate(stack))
+        return [table[e][0] for e in etas]
 
     grid = np.arange(ETA_START, ETA_STOP + ETA_STEP / 2, ETA_STEP)
-    vals = grid * alpha * realloc(grid)[0]
+    vals, grid_hops = realloc(grid)
     best = int(np.argmax(vals))  # the first strict maximum along the grid
     best_eta, best_val = float(grid[best]), vals[best]
     lo = max(ETA_START, best_eta - ETA_STEP)
     hi = min(ETA_STOP, best_eta + ETA_STEP)
-    phi = (math.sqrt(5) - 1) / 2
-    x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    f = lambda e: e * alpha * realloc(e)[0]
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > ETA_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = f(x1)
-    eta_mid = (lo + hi) / 2
-    rank_mid, hops = realloc(eta_mid)
-    if eta_mid * alpha * rank_mid < best_val:
-        eta_mid = best_eta
-        rank_mid, hops = realloc(best_eta)
-    return eta_mid, rank_mid, hops
+    state = (lo, hi, hi - PHI * (hi - lo), lo + PHI * (hi - lo))
+    while state[1] - state[0] > ETA_TOL:
+        f1, f2 = lookup(state, state[2:])
+        state = _golden_step(*state, f1 < f2)[0]
+    eta = (state[0] + state[1]) / 2
+    lookup(state, [eta])
+    val, hops, i = table[eta]
+    if val < best_val:
+        eta, hops, i = best_eta, grid_hops, best
+    return eta, float(hops[-1].expected_rank[i]), [hop.row(i) for hop in hops]
 
 
 def two_step_solve(scenario, nap_solution=None):

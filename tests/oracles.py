@@ -20,8 +20,12 @@ former scalar paths are kept the same way: `greedy_order_masked` (the
 grant order over the fundable ranks only), `optimize_hop_scalar` (one
 rank distribution, that whole grant order paid by one accumulate),
 `flow_two_step_grid_loop` (one `optimize_hop_scalar` chain per grid
-scale) and `average_packets_by_rank` (a policy's support summed rank by
-rank). `gf256_rank_stacked` ranks a stack of GF(256) matrices at once.
+scale), `flow_two_step_sequential` (the stacked grid, then one single-row
+chain per golden-section point), both ending in the sequential
+`golden_section_sequential`, and `average_packets_by_rank` (a policy's
+support summed rank by rank). `neighborhood_ranks_three_products` builds
+a ±1 neighborhood with three separate products per hop.
+`gf256_rank_stacked` ranks a stack of GF(256) matrices at once.
 The allocation's single-problem interior-point loop is kept as the
 reference of the stacked core: `interior_point_single`, with
 `concave_allocation_single` and `column_master_single` on top of it.
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, optimize
 
-from batsnum import ffmat, loss, rankcalc, solvers
+from batsnum import ffmat, loss, rankcalc, recoding, solvers
 from batsnum.ffmat import _INV256, _MUL256, _check_field
 from batsnum.netmodel import (ValidationError, max_weight_index,
                               schedule_rate_matrix)
@@ -183,22 +187,29 @@ def almost_deterministic_exhaustive(h, E1, budget, cap):
     return best
 
 
+def neighborhood_ranks_three_products(W_list, opts, M):
+    """Expected destination ranks of the 3^L candidates of `opts` (L, 3):
+    a forward stack of three separate batched products per hop."""
+    X = np.zeros((1, M + 1))
+    X[0, M] = 1.0
+    for W, o in zip(W_list, opts):
+        parts = [X @ W[int(c)] for c in o]
+        X = np.stack(parts, axis=1).reshape(-1, M + 1)
+    return X @ np.arange(M + 1, dtype=float)
+
+
 def neighborhood_best_reference(W_list, m, lam_path, caps, M):
     """Best candidate in the +-1 joint neighborhood of m, nothing memoized.
 
     Clips all 3^L candidates, then rebuilds their expected destination
-    ranks with a forward stack of batched products (3 per hop).
+    ranks with `neighborhood_ranks_three_products`.
     """
     L = len(m)
     D = np.array(list(itertools.product((-1, 0, 1), repeat=L)), dtype=int)
     cand = np.clip(np.asarray(m)[None, :] + D, 0, np.asarray(caps)[None, :])
-    X = np.zeros((1, M + 1))
-    X[0, M] = 1.0
-    for l in range(L):
-        opts = np.clip(np.array([m[l] - 1, m[l], m[l] + 1]), 0, caps[l])
-        parts = [X @ W_list[l][int(o)] for o in opts]
-        X = np.stack(parts, axis=1).reshape(-1, M + 1)
-    vals = X @ np.arange(M + 1, dtype=float)
+    opts = np.clip(np.asarray(m)[:, None] + [-1, 0, 1], 0,
+                   np.asarray(caps)[:, None])
+    vals = neighborhood_ranks_three_products(W_list, opts, M)
     dens = cand @ lam_path
     if np.all(dens <= 0):
         obj = vals
@@ -327,31 +338,13 @@ def optimize_hop_scalar(h_in, model, budget, q, M, m0):
                      h_out=h_out)
 
 
-def flow_two_step_grid_loop(scenario, flow, m_vec, alpha):
-    """`solvers._flow_two_step` with one scalar hop chain per grid scale:
-    the grid point kept is the first strict maximum of eta * alpha * rank,
-    then the same golden section. Returns (eta, rank, hops)."""
-    models = [scenario.loss_model(e) for e in flow.links]
-    caps = scenario.flow_caps(flow)
-
-    def realloc(eta):
-        h, hops = rankcalc.source_distribution(scenario.M), []
-        for (model, me, cap) in zip(models, m_vec, caps):
-            hops.append(optimize_hop_scalar(h, model, me / eta, scenario.q,
-                                            scenario.M, int(cap)))
-            h = hops[-1].h_out
-        return hops[-1].expected_rank, hops
-
-    step = solvers.ETA_STEP
-    grid = np.arange(solvers.ETA_START, solvers.ETA_STOP + step / 2, step)
-    best_eta, best_val = 1.0, -np.inf
-    for eta in grid:
-        rank, _ = realloc(eta)
-        val = eta * alpha * rank
-        if val > best_val:
-            best_eta, best_val = float(eta), val
-    lo = max(solvers.ETA_START, best_eta - step)
-    hi = min(solvers.ETA_STOP, best_eta + step)
+def golden_section_sequential(realloc, alpha, best_eta, best_val):
+    """The two-step's golden section as one sequential loop around the
+    grid's best point `best_eta`: one `realloc(eta)` -> (rank, hops) chain
+    per point, the final midpoint kept unless its value is below
+    `best_val`. Returns (eta, rank, hops)."""
+    lo = max(solvers.ETA_START, best_eta - solvers.ETA_STEP)
+    hi = min(solvers.ETA_STOP, best_eta + solvers.ETA_STEP)
     phi = (math.sqrt(5) - 1) / 2
     x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
     f = lambda e: e * alpha * realloc(e)[0]
@@ -371,6 +364,57 @@ def flow_two_step_grid_loop(scenario, flow, m_vec, alpha):
         eta_mid = best_eta
         rank_mid, hops = realloc(best_eta)
     return eta_mid, rank_mid, hops
+
+
+def flow_two_step_grid_loop(scenario, flow, m_vec, alpha):
+    """`solvers._flow_two_step` with one scalar hop chain per grid scale:
+    the grid point kept is the first strict maximum of eta * alpha * rank,
+    then `golden_section_sequential`. Returns (eta, rank, hops)."""
+    models = [scenario.loss_model(e) for e in flow.links]
+    caps = scenario.flow_caps(flow)
+
+    def realloc(eta):
+        h, hops = rankcalc.source_distribution(scenario.M), []
+        for (model, me, cap) in zip(models, m_vec, caps):
+            hops.append(optimize_hop_scalar(h, model, me / eta, scenario.q,
+                                            scenario.M, int(cap)))
+            h = hops[-1].h_out
+        return hops[-1].expected_rank, hops
+
+    step = solvers.ETA_STEP
+    grid = np.arange(solvers.ETA_START, solvers.ETA_STOP + step / 2, step)
+    best_eta, best_val = 1.0, -np.inf
+    for eta in grid:
+        rank, _ = realloc(eta)
+        val = eta * alpha * rank
+        if val > best_val:
+            best_eta, best_val = float(eta), val
+    return golden_section_sequential(realloc, alpha, best_eta, best_val)
+
+
+def flow_two_step_sequential(scenario, flow, m_vec, alpha):
+    """`solvers._flow_two_step` with its grid as one stacked
+    `recoding.optimize_hop` chain and then `golden_section_sequential`,
+    one single-row chain per golden-section point. Returns (eta, rank,
+    hops)."""
+    models = [scenario.loss_model(e) for e in flow.links]
+    caps = scenario.flow_caps(flow)
+    source = rankcalc.source_distribution(scenario.M)
+
+    def realloc(eta):  # eta: one scale, or an array of them
+        h, hops = np.broadcast_to(source, np.shape(eta) + source.shape), []
+        for (model, me, cap) in zip(models, m_vec, caps):
+            hops.append(recoding.optimize_hop(h, model, me / eta, scenario.q,
+                                              scenario.M, int(cap)))
+            h = hops[-1].h_out
+        return hops[-1].expected_rank, hops
+
+    step = solvers.ETA_STEP
+    grid = np.arange(solvers.ETA_START, solvers.ETA_STOP + step / 2, step)
+    vals = grid * alpha * realloc(grid)[0]
+    best = int(np.argmax(vals))  # the first strict maximum along the grid
+    return golden_section_sequential(realloc, alpha, float(grid[best]),
+                                     vals[best])
 
 
 def average_packets_by_rank(policy, h):

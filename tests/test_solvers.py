@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import flow_two_step_grid_loop, local_search_reference, propagate
+from oracles import (flow_two_step_grid_loop, flow_two_step_sequential,
+                     local_search_reference, neighborhood_ranks_three_products,
+                     propagate)
 
 import batsnum
-from batsnum import rankcalc, solvers
+from batsnum import rankcalc, recoding, solvers
 from batsnum.loss import LossSpec
 from batsnum.netmodel import Flow, Link, Network, two_hop_interference
 from batsnum.recoding import RecodingPolicy
@@ -277,6 +279,70 @@ def test_flow_two_step_equals_grid_loop(solved, case, family):
         for got, want in zip(hops, want_hops):
             assert np.array_equal(got.targets, want.targets)
             assert got.budget_used == want.budget_used
+
+
+@pytest.mark.parametrize("family", ["iid", "ge"])
+def test_flow_two_step_equals_sequential_golden_section(solved, family,
+                                                        monkeypatch):
+    # the speculative golden section against the sequential loop on every
+    # flow of the 11 instances, in at most 5 stacked stages per flow
+    inner, calls = recoding.optimize_hop, []
+    monkeypatch.setattr(recoding, "optimize_hop",
+                        lambda *a: calls.append(1) or inner(*a))
+    for case in range(1, 12):
+        sc, nap = solved.scenario(case, family), solved.nap(case, family)
+        for i, flow in enumerate(sc.flows):
+            m_vec = [int(round(mb)) for mb in nap.mbar[i]]
+            alpha = float(nap.alpha[i])
+            calls.clear()
+            eta, rank, hops = solvers._flow_two_step(sc, flow, m_vec, alpha)
+            chains, rest = divmod(len(calls), len(flow.links))
+            assert rest == 0 and chains - 1 <= 5  # the grid, then the stages
+            want_eta, want_rank, want_hops = flow_two_step_sequential(
+                sc, flow, m_vec, alpha)
+            assert (eta, rank) == (want_eta, want_rank)
+            assert len(hops) == len(want_hops) == len(flow.links)
+            for got, want in zip(hops, want_hops):
+                assert np.array_equal(got.targets, want.targets)
+                assert got.budget_used == want.budget_used
+                assert np.array_equal(got.h_out, want.h_out)
+
+
+def _neighborhood_options(m, caps):
+    return np.clip(np.asarray(m)[:, None] + [-1, 0, 1], 0, caps[:, None])
+
+
+@pytest.mark.parametrize("family", ["iid", "ge"])
+def test_memoized_neighborhoods_equal_three_products(solved, family):
+    # every neighborhood the case-1 solve memoized, against three separate
+    # products per hop; bit-identical
+    sc = solved.scenario(1, family)
+    solved.nap(1, family)
+    seen = 0
+    for flow in sc.flows:
+        ctx = sc.flow_search(flow)
+        for key, (vals, _) in ctx.memo.items():
+            want = neighborhood_ranks_three_products(
+                ctx.W_list, _neighborhood_options(key, ctx.caps), sc.M)
+            assert np.array_equal(vals, want)
+            seen += 1
+    assert seen > 100
+
+
+@pytest.mark.parametrize("family", ["iid", "ge"])
+def test_random_neighborhoods_equal_three_products(solved, family):
+    # 30 seeded random count vectors per flow of the 11 instances
+    rng = np.random.default_rng(28)
+    for case in range(1, 12):
+        sc = solved.scenario(case, family)
+        for flow in sc.flows:
+            ctx = sc.flow_search(flow)
+            for _ in range(30):
+                opts = _neighborhood_options(rng.integers(0, ctx.caps + 1),
+                                             ctx.caps)
+                got = solvers._neighborhood_ranks(ctx.W_list, opts, sc.M)
+                assert np.array_equal(got, neighborhood_ranks_three_products(
+                    ctx.W_list, opts, sc.M))
 
 
 def test_every_solver_result_is_one_solution(solved):
