@@ -15,7 +15,10 @@ two-step's `recoding.optimize_hop` calls (`hop_calls`), the allocation
 certificate and the scheduled link rates. Under `estimation` it holds, per
 distinct bursty channel (keyed `s_good/s_bad/p_gb/p_bg`), the SHA-1 of the
 estimated q-table and the seconds its estimation took; under `sweep_s`, the
-wall time of the whole sweep, estimation included.
+wall time of the whole sweep, estimation included; under `model_builds`, how
+many independent and bursty loss models the sweep built (counted by wrapping
+the two estimators in the `solvers` namespace, where `Scenario.loss_model`
+looks them up).
 
     python scripts/solution_digests.py --out new.json
     python scripts/solution_digests.py --out new.json --compare old.json
@@ -26,7 +29,8 @@ whether the NAP counts are unchanged, the pool sizes, the schedule
 counts, the largest move of a link rate, the rounds, the NAP and
 two-step wall times, the allocation seconds and rows, the neighborhoods
 and the `optimize_hop` calls, then per channel whether the q-table is
-unchanged and the estimation seconds, and the sweep's wall time. It
+unchanged and the estimation seconds, the sweep's wall time and the model
+builds. It
 exits 1, naming them on standard error, when an instance's NAP or
 two-step SHA-1 or a channel's q-table SHA-1 differs, else 0.
 """
@@ -45,6 +49,14 @@ INSTANCES = [(case, family) for family in ("iid", "ge") for case in range(1, 12)
 
 def digest(sol):
     return hashlib.sha1(sol.to_json().encode()).hexdigest()
+
+
+def counted(inner, counts, key):
+    """`inner`, adding one to counts[key] per call."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return inner(*args, **kwargs)
+    return wrapper
 
 
 def estimation():
@@ -79,11 +91,6 @@ def record(case, family):
             alloc["rows"] += len(A) if A.ndim == 3 else 1
 
     hop, inner_hop = {"calls": 0}, recoding.optimize_hop
-
-    def counted(*args):
-        hop["calls"] += 1
-        return inner_hop(*args)
-
     solvers._exact_concave_allocation = timed
     try:
         start = time.perf_counter()
@@ -91,7 +98,7 @@ def record(case, family):
         nap_s = time.perf_counter() - start
     finally:
         solvers._exact_concave_allocation = inner
-    recoding.optimize_hop = counted
+    recoding.optimize_hop = counted(inner_hop, hop, "calls")
     try:
         start = time.perf_counter()
         two = solvers.two_step_solve(sc, nap_solution=nap)
@@ -169,6 +176,10 @@ def compare(old, new):
         print(f"| {key} | {'yes' if o.get('sha1') == n['sha1'] else 'NO'} "
               f"| {o.get('s', '-')} -> {n['s']} |")
     print(f"\nsweep: {old.get('sweep_s', '-')} -> {new['sweep_s']} s")
+    builds = old.get("model_builds", {})
+    print("model builds: " + ", ".join(
+        f"{kind} {builds.get(kind, '-')} -> {n}"
+        for kind, n in new["model_builds"].items()))
     return changed
 
 
@@ -178,11 +189,16 @@ def main():
     ap.add_argument("--compare", metavar="OLD.json",
                     help="earlier document to print the differences against")
     args = ap.parse_args()
+    builds = {"independent": 0, "bursty": 0}
+    for attr, kind in (("independent_loss_model", "independent"),
+                       ("empirical_loss_model", "bursty")):
+        setattr(solvers, attr, counted(getattr(solvers, attr), builds, kind))
     start = time.perf_counter()
     doc = {"estimation": estimation()}
     doc.update({f"{family} {case}": record(case, family)
                 for case, family in INSTANCES})
     doc["sweep_s"] = round(time.perf_counter() - start, 3)
+    doc["model_builds"] = builds
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
     if args.compare:

@@ -137,6 +137,15 @@ class BatchLossModel:
         if np.any(upper > 0):
             raise ParameterError("q(r|m) > 0 for r > m")
 
+    def derived(self, key, build):
+        """The table `build()` makes, built once per key and kept on this
+        model read-only: every solver layer shares it."""
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build()
+            got.flags.writeable = False
+        return got
+
 
 def independent_loss_model(epsilon, m_max):
     """Binomial arrivals: q(r|m) = C(m,r)(1-eps)^r eps^(m-r)."""

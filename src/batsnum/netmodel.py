@@ -139,7 +139,7 @@ def two_hop_interference(network):
         for b in network.links:
             if b.id == a.id:
                 continue
-            if ea & b.endpoints() or reach & b.endpoints():
+            if reach & b.endpoints():
                 conf.add(b.id)
         out[a.id] = frozenset(conf)
     return out
@@ -174,8 +174,7 @@ def enumerate_feasible_schedules(network):
             rec(i + 1, cur, banned | C[i])
             cur.pop()
 
-    rec(0, [], np.zeros(n, dtype=bool))
-    out.sort(key=lambda s: s.active)
+    rec(0, [], np.zeros(n, dtype=bool))  # 0 before 1: lexicographic
     network._schedule_cache = out
     return out
 

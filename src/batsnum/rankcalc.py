@@ -51,28 +51,15 @@ def hop_tables(model, q, M):
     general policies mix these slices. Cached on the loss model and
     returned read-only.
     """
-    key = ("hop_tables", q, M)
-    got = model._cache.get(key)
-    if got is not None:
-        return got
-    Z = rank_pmf_table(M, model.m_max, q)
-    W = np.einsum("mk,ikj->mij", model.q_table, Z)
-    W.flags.writeable = False
-    model._cache[key] = W
-    return W
+    return model.derived(("hop_tables", q, M), lambda: np.einsum(
+        "mk,ikj->mij", model.q_table, rank_pmf_table(M, model.m_max, q)))
 
 
 def expected_rank_table(model, q, M):
-    """E1[r, t] = expected next-hop rank of a rank-r batch with t packets sent."""
-    key = ("expected_rank", q, M)
-    got = model._cache.get(key)
-    if got is not None:
-        return got
-    W = hop_tables(model, q, M)
-    E1 = np.einsum("mij,j->im", W, np.arange(M + 1, dtype=float))
-    E1.flags.writeable = False
-    model._cache[key] = E1
-    return E1
+    """E1[r, t] = expected next-hop rank of a rank-r batch with t packets
+    sent. Cached on the loss model and returned read-only."""
+    return model.derived(("expected_rank", q, M), lambda: np.einsum(
+        "mij,j->im", hop_tables(model, q, M), np.arange(M + 1, dtype=float)))
 
 
 def transition_matrix(policy, model, q, M):

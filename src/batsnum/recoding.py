@@ -156,26 +156,23 @@ def _greedy_order(model, q, M, cap):
     neither h nor the budget enters it, and a budget only decides how
     long a prefix is paid for. Cached on the loss model; read-only.
     """
-    key = ("greedy_order", q, M, cap)
-    got = model._cache.get(key)
-    if got is not None:
-        return got
-    E1 = rankcalc.expected_rank_table(model, q, M)
-    ti = np.zeros(M + 1, dtype=int)
-    marg = np.full(M + 1, -np.inf)
-    if cap >= 1:
-        marg[1:] = E1[1:M + 1, 1] - E1[1:M + 1, 0]
-    order = []
-    # zero marginals stay grantable so a monotone model exhausts the budget
-    while np.any(marg >= -1e-12):
-        r = int(np.argmax(marg))
-        order.append(r)
-        ti[r] += 1
-        marg[r] = (E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap else -np.inf
-    order = np.array(order, dtype=np.intp)
-    order.flags.writeable = False
-    model._cache[key] = order
-    return order
+    def build():
+        E1 = rankcalc.expected_rank_table(model, q, M)
+        ti = np.zeros(M + 1, dtype=int)
+        marg = np.full(M + 1, -np.inf)
+        if cap >= 1:
+            marg[1:] = E1[1:M + 1, 1] - E1[1:M + 1, 0]
+        order = []
+        # zero marginals stay grantable so a monotone model exhausts the budget
+        while np.any(marg >= -1e-12):
+            r = int(np.argmax(marg))
+            order.append(r)
+            ti[r] += 1
+            marg[r] = ((E1[r, ti[r] + 1] - E1[r, ti[r]]) if ti[r] < cap
+                       else -np.inf)
+        return np.array(order, dtype=np.intp)
+
+    return model.derived(("greedy_order", q, M, cap), build)
 
 
 def optimize_hop(h_in, model, budget, q, M, m0):

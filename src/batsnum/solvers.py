@@ -9,6 +9,7 @@ each flow's transmit budget rank by rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,12 +19,9 @@ import numpy as np
 from scipy import linalg
 
 from . import rankcalc, recoding
-from .loss import empirical_loss_model, independent_loss_model
+from .loss import LossSpec, empirical_loss_model, independent_loss_model
 from .netmodel import Network, Schedule, max_weight_index, schedule_rate_matrix
 from .recoding import RecodingPolicy
-
-# loss models keyed by their full parameterization; estimation is costly
-_GLOBAL_MODEL_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,20 @@ class LossModelOptions:
     m_max: int = 100          # support of empirically estimated models
     samples: int = 10000
     seed: int = 1
+
+
+# Loss models, process-wide, keyed by exactly what determines each; the
+# estimators are looked up here at call time, so wrapping them counts builds.
+@functools.cache
+def _independent_model(epsilon, m0):
+    return independent_loss_model(epsilon, m0)
+
+
+@functools.cache
+def _bursty_model(ge, opts):
+    return empirical_loss_model(LossSpec("gilbert_elliott", ge=ge),
+                                m_max=opts.m_max, samples=opts.samples,
+                                rng_seed=opts.seed)
 
 
 @dataclass(frozen=True)
@@ -54,8 +66,6 @@ class Scenario:
     loss_options: LossModelOptions = field(default_factory=LossModelOptions)
     solver: SolverConfig = field(default_factory=SolverConfig)
     name: str = "scenario"
-    _models: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
     _searches: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -69,28 +79,10 @@ class Scenario:
                     f"flow {f.id} batch size {f.batch_size} != scenario M {self.M}")
 
     def loss_model(self, link_id):
-        got = self._models.get(link_id)
-        if got is not None:
-            return got
-        link = self.network.link(link_id)
-        opts = self.loss_options
-        if link.loss.kind == "independent":
-            key = ("independent", link.loss.epsilon, self.m0)
-        else:
-            ge = link.loss.ge
-            key = ("ge", ge.s_good, ge.s_bad, ge.p_gb, ge.p_bg,
-                   opts.m_max, opts.samples, opts.seed)
-        model = _GLOBAL_MODEL_CACHE.get(key)
-        if model is None:
-            if link.loss.kind == "independent":
-                model = independent_loss_model(link.loss.epsilon, self.m0)
-            else:
-                model = empirical_loss_model(
-                    link.loss, m_max=opts.m_max, samples=opts.samples,
-                    rng_seed=opts.seed)
-            _GLOBAL_MODEL_CACHE[key] = model
-        self._models[link_id] = model
-        return model
+        spec = self.network.link(link_id).loss
+        if spec.kind == "independent":
+            return _independent_model(spec.epsilon, self.m0)
+        return _bursty_model(spec.ge, self.loss_options)
 
     def hop_tables(self, link_id):
         return rankcalc.hop_tables(self.loss_model(link_id), self.q, self.M)

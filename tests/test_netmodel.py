@@ -8,9 +8,11 @@ from batsnum.loss import LossSpec
 from batsnum.netmodel import (Flow, Link, Network, Schedule, ValidationError,
                               enumerate_feasible_schedules,
                               two_hop_interference)
+from batsnum.scenarios import load_scenario
 from batsnum.solvers import Scenario
 from oracles import (DecompositionError, decompose_rate_vector,
                      max_weight_schedule, schedule_is_feasible)
+from random_networks import random_network_config
 
 
 def line_network(n, caps=None):
@@ -192,3 +194,33 @@ def test_link_lookup_follows_list_order():
         net.link_index("e4")
     with pytest.raises(KeyError):
         net.link("e4")
+
+
+def two_hop_by_definition(network):
+    """Links conflict when some endpoint of one equals, or shares a link
+    with, some endpoint of the other."""
+    joined = {frozenset((l.tail, l.head)) for l in network.links}
+
+    def near(a, b):
+        return any(x == y or frozenset((x, y)) in joined
+                   for x in a.endpoints() for y in b.endpoints())
+
+    return {a.id: frozenset(b.id for b in network.links
+                            if b is not a and near(a, b))
+            for a in network.links}
+
+
+PRESETS = [(f"case{c}", family) for family in ("iid", "ge")
+           for c in range(1, 12)]
+
+
+@pytest.mark.parametrize("source", PRESETS + [
+    (random_network_config(seed), "iid") for seed in range(20)],
+    ids=[f"{c}-{f}" for c, f in PRESETS] + [f"random-{s}" for s in range(20)])
+def test_schedules_and_conflicts_match_definitions(source):
+    # the enumeration's order is lexicographic, as itertools.product's
+    net = load_scenario(*source).network
+    assert net.interference == two_hop_by_definition(net)
+    brute = [bits for bits in itertools.product((0, 1), repeat=len(net.links))
+             if schedule_is_feasible(Schedule(active=bits), net)]
+    assert [s.active for s in enumerate_feasible_schedules(net)] == brute
